@@ -27,7 +27,8 @@ from .freealg import clifford_relations, parse_poly
 from .pointmod import (PointTriple, abc_system_admits_solution,
                        central_character_diagonal, gamma_invariants,
                        predict_simple_quotient, proj_point, solve_next)
-from .repthy import full_gram, search_irreps_dim1, search_irreps_dim2, wedderburn_blocks
+from .repthy import (DIM2_MAX_P, full_gram, search_irreps_dim1,
+                     search_irreps_dim2, wedderburn_blocks)
 from .rewrite import complete, hilbert_oracle
 from .linalg import rank
 
@@ -252,8 +253,8 @@ def cmd_verify_all(args):
             p.evaluate([a, b, c, d]) == field.zero for p in partials)
     results["partials_vanish_on_cubic"] = cubic_ok
 
-    res2 = search_irreps_dim2(field) if field.p <= 31 else None
-    if res2 is not None:
+    if field.p <= DIM2_MAX_P:
+        res2 = search_irreps_dim2(field)
         results["no_dim2_irreps"] = len(res2["irreducible_pairs"]) == 0
 
     from .commgeo import enumerate_center_fiber

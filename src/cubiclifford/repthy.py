@@ -10,6 +10,7 @@ unaffected by the factor.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -17,7 +18,8 @@ from sympy import ZZ
 from sympy.polys.galoistools import gf_factor
 
 from .commgeo import CentralPoint
-from .errors import CharacteristicTooSmall, FieldTooLarge, SplitFailure
+from .errors import (CharacteristicTooSmall, FieldTooLarge, NotScalar,
+                     SplitFailure)
 from .findim import FinDimAlgebra
 from .linalg import Matrix, kernel, rank, rref
 
@@ -360,7 +362,7 @@ def wedderburn_blocks(alg: FinDimAlgebra, seed: int = 0,
             bdim = rank(Matrix(F, span))
             k = len(mi) - 1
             n2 = bdim // k
-            n = _isqrt(n2)
+            n = math.isqrt(n2)
             if n * n * k != bdim:
                 raise SplitFailure(
                     f"block of dim {bdim} incompatible with center degree {k}")
@@ -382,133 +384,100 @@ def _poly_eval_alg(quot: _Quotient, coeffs, v):
     return out
 
 
-def _isqrt(n):
-    r = int(n ** 0.5)
-    while r * r > n:
-        r -= 1
-    while (r + 1) * (r + 1) <= n:
-        r += 1
-    return r
-
-
 # -- brute-force representation searches ---------------------------------
 
 
-def _m2_mul(A, B, p):
-    return ((A[0][0] * B[0][0] + A[0][1] * B[1][0]) % p,
-            (A[0][0] * B[0][1] + A[0][1] * B[1][1]) % p,
-            (A[1][0] * B[0][0] + A[1][1] * B[1][0]) % p,
-            (A[1][0] * B[0][1] + A[1][1] * B[1][1]) % p)
+#: Largest prime the dim-2 search accepts: it sweeps p^4 matrices Y for
+#: each of the p canonical X, about 2.9e7 candidates at p = 31.
+DIM2_MAX_P = 31
 
 
-def search_irreps_dim2(field, max_p: int = 31):
+def dim2_x_forms(field):
+    """Canonical x-images of the dim-2 search, as row-major int 4-tuples:
+    diag(alpha, alpha*omega) for alpha = 1..p-1, then the nilpotent
+    Jordan block."""
+    p = field.p
+    w = field.omega()
+    return [(a, 0, 0, a * w % p) for a in range(1, p)] + [(0, 1, 0, 0)]
+
+
+def search_irreps_dim2(field, max_p: int = DIM2_MAX_P):
     """Exhaustive search for 2-dimensional irreducible representations.
 
-    x-images are taken in canonical form up to conjugacy and rescaling:
+    x-images are taken in canonical form up to conjugacy:
     diag(alpha, alpha*omega) for alpha in F_p^* (x^3 a nonzero scalar)
     and the nilpotent Jordan block (x^3 = 0); scalar images force
-    reducibility and are excluded.  For each canonical X all p^4 matrices
-    Y are tested against the three defining relations, then filtered for
-    irreducibility (the pair must generate all of M_2).  Also counts the
-    reducible solutions seen, as a diagnostic.
+    reducibility and are excluded.  X^3 is checked to be scalar once per
+    canonical X, which proves x^3 y = y x^3 for every Y.  Then all p^4
+    matrices Y are tested against the other two defining relations,
+    x y^3 = y^3 x first.  A solution is irreducible iff det[X, Y] != 0:
+    two 2 x 2 matrices share an eigenvector over the algebraic closure
+    iff their commutator is singular, and otherwise they generate all of
+    M_2 (Burnside).  Also counts the reducible solutions seen, as a
+    diagnostic.
     """
     p = field.p
     if p > max_p:
-        raise FieldTooLarge(f"p^4 sweep capped at p <= {max_p}")
-    w = field.omega()
-
-    xforms = [((a % p, 0), (0, a * w % p)) for a in range(1, p)]
-    xforms.append(((0, 1), (0, 0)))  # nilpotent canonical form
-
+        raise FieldTooLarge(
+            f"the dim-2 search sweeps p * p^4 candidates and is capped at "
+            f"p <= {max_p}; got p = {p}")
+    xforms = dim2_x_forms(field)
     irreducible = []
     reducible_count = 0
-    for X in xforms:
-        Xm = ((X[0][0], X[0][1]), (X[1][0], X[1][1]))
-        for a in range(p):
-            for b in range(p):
-                for c in range(p):
-                    for d in range(p):
-                        Y = ((a, b), (c, d))
-                        if not _satisfies_relations(Xm, Y, p):
+    rng = range(p)
+    # 2 x 2 matrices are row-major ints, reduced mod p only where they
+    # are compared with 0
+    for x0, x1, x2, x3 in xforms:
+        u0, u1 = x0 * x0 + x1 * x2, x1 * (x0 + x3)  # X^2
+        u2, u3 = x2 * (x0 + x3), x3 * x3 + x1 * x2
+        c0, c1 = u0 * x0 + u1 * x2, u0 * x1 + u1 * x3  # X^3
+        c2, c3 = u2 * x0 + u3 * x2, u2 * x1 + u3 * x3
+        if c1 % p or c2 % p or (c0 - c3) % p:
+            raise NotScalar(f"x^3 is not scalar at X = {(x0, x1, x2, x3)}")
+        dx = x0 - x3
+        for a in rng:
+            for b in rng:
+                for c in rng:
+                    bc = b * c
+                    y0 = a * a + bc  # Y^2 = (y0, y1, y2, y3)
+                    for d in rng:
+                        t = a + d
+                        y1, y2, y3 = b * t, c * t, d * d + bc
+                        z0, z1 = y0 * a + y1 * c, y0 * b + y1 * d  # Y^3
+                        z2, z3 = y2 * a + y3 * c, y2 * b + y3 * d
+                        # x y^3 = y^3 x; entry (1,1) of [X, Y^3] is minus
+                        # entry (0,0)
+                        if ((x1 * z2 - x2 * z1) % p
+                                or (dx * z1 + x1 * (z3 - z0)) % p
+                                or (x2 * (z0 - z3) - dx * z2) % p):
                             continue
-                        if _pair_irreducible(Xm, Y, p):
-                            irreducible.append((Xm, Y))
+                        m0, m1 = x0 * a + x1 * c, x0 * b + x1 * d  # XY
+                        m2, m3 = x2 * a + x3 * c, x2 * b + x3 * d
+                        n0, n1 = a * x0 + b * x2, a * x1 + b * x3  # YX
+                        n2, n3 = c * x0 + d * x2, c * x1 + d * x3
+                        # x^2y^2 + xyxy - yxyx - y^2x^2 = 0
+                        if ((u0 * y0 + u1 * y2 - y0 * u0 - y1 * u2
+                             + m0 * m0 + m1 * m2 - n0 * n0 - n1 * n2) % p
+                                or (u0 * y1 + u1 * y3 - y0 * u1 - y1 * u3
+                                    + m0 * m1 + m1 * m3
+                                    - n0 * n1 - n1 * n3) % p
+                                or (u2 * y0 + u3 * y2 - y2 * u0 - y3 * u2
+                                    + m2 * m0 + m3 * m2
+                                    - n2 * n0 - n3 * n2) % p
+                                or (u2 * y1 + u3 * y3 - y2 * u1 - y3 * u3
+                                    + m2 * m1 + m3 * m3
+                                    - n2 * n1 - n3 * n3) % p):
+                            continue
+                        # [X, Y] = (k0, k1, k2, -k0)
+                        k0, k1, k2 = m0 - n0, m1 - n1, m2 - n2
+                        if (k0 * k0 + k1 * k2) % p:
+                            irreducible.append((((x0, x1), (x2, x3)),
+                                                ((a, b), (c, d))))
                         else:
                             reducible_count += 1
     return {"irreducible_pairs": irreducible,
             "reducible_solutions": reducible_count,
             "x_forms_tested": len(xforms)}
-
-
-def _satisfies_relations(X, Y, p):
-    def mul(A, B):
-        e = _m2_mul(A, B, p)
-        return ((e[0], e[1]), (e[2], e[3]))
-
-    def sub(A, B):
-        return tuple(tuple((x - y) % p for x, y in zip(r1, r2))
-                     for r1, r2 in zip(A, B))
-
-    def is0(A):
-        return all(v == 0 for r in A for v in r)
-
-    X2 = mul(X, X)
-    X3 = mul(X2, X)
-    Y2 = mul(Y, Y)
-    Y3 = mul(Y2, Y)
-    # x^3 y = y x^3
-    if not is0(sub(mul(X3, Y), mul(Y, X3))):
-        return False
-    # x^2y^2 + xyxy - yxyx - y^2x^2 = 0
-    XY = mul(X, Y)
-    YX = mul(Y, X)
-    t = sub(mul(X2, Y2), mul(Y2, X2))
-    t = tuple(tuple((v + w_) % p for v, w_ in zip(r1, r2))
-              for r1, r2 in zip(t, sub(mul(XY, XY), mul(YX, YX))))
-    if not is0(t):
-        return False
-    # x y^3 = y^3 x
-    if not is0(sub(mul(X, Y3), mul(Y3, X))):
-        return False
-    return True
-
-
-def _pair_irreducible(X, Y, p):
-    """Burnside at size 2: the pair acts irreducibly iff it generates the
-    full 4-dimensional matrix algebra."""
-    gens = [((1, 0), (0, 1)), X, Y]
-    span = []  # rref rows over F_p of flattened matrices
-    basis = []
-
-    def insert(M):
-        v = [M[0][0], M[0][1], M[1][0], M[1][1]]
-        for row in span:
-            lead = next(i for i, c in enumerate(row) if c)
-            if v[lead]:
-                f = v[lead]
-                v = [(a - f * b) % p for a, b in zip(v, row)]
-        if any(v):
-            lead = next(i for i, c in enumerate(v) if c)
-            inv = pow(v[lead], p - 2, p)
-            span.append([c * inv % p for c in v])
-            basis.append(M)
-            return True
-        return False
-
-    frontier = []
-    for g in gens:
-        if insert(g):
-            frontier.append(g)
-    while frontier and len(span) < 4:
-        nxt = []
-        for M in frontier:
-            for G in (X, Y):
-                e = _m2_mul(M, G, p)
-                P = ((e[0], e[1]), (e[2], e[3]))
-                if insert(P):
-                    nxt.append(P)
-        frontier = nxt
-    return len(span) == 4
 
 
 def search_irreps_dim1(field, point: CentralPoint):

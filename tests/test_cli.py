@@ -78,6 +78,17 @@ def test_search_dim2(capsys):
     assert payload["irreducible_pairs"] == 0
 
 
+@pytest.mark.parametrize("prime, stdout", [
+    ("7", '{"irreducible_pairs":0,"ok":true,"prime":7,'
+          '"reducible_solutions":931,"schema":1,"x_forms_tested":7}\n'),
+    ("13", '{"irreducible_pairs":0,"ok":true,"prime":13,'
+           '"reducible_solutions":6253,"schema":1,"x_forms_tested":13}\n'),
+], ids=["p7", "p13"])
+def test_search_dim2_stdout_pinned(capsys, prime, stdout):
+    assert main(["search-dim2", "--prime", prime]) == 0
+    assert capsys.readouterr().out == stdout
+
+
 def test_point_module_diagonal(capsys):
     code, payload = run_json(capsys, "point-module",
                              "--triple", "1:2,1:2,1:2")
