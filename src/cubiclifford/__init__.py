@@ -3,9 +3,8 @@ cubic forms: rewriting-based basis and center verification, central
 quotients, representation structure, point modules, and discriminant loci.
 """
 
-from ._kernel import BACKEND as kernel_backend
 from .fields import DEFAULT_PRIMES, make_field
 
-__all__ = ["make_field", "DEFAULT_PRIMES", "kernel_backend"]
+__all__ = ["make_field", "DEFAULT_PRIMES"]
 
 __version__ = "0.1.0"

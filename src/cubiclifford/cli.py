@@ -234,6 +234,7 @@ def cmd_verify_all(args):
     """Umbrella: run every check once at modest sample sizes."""
     field = make_field("prime", args.prime)
     results = {}
+    skipped = []
     system = _graded_system(field, 13)
 
     hilbert_ok = all(system.graded_dimension(n) == hilbert_oracle(n)
@@ -256,6 +257,8 @@ def cmd_verify_all(args):
     if field.p <= DIM2_MAX_P:
         res2 = search_irreps_dim2(field)
         results["no_dim2_irreps"] = len(res2["irreducible_pairs"]) == 0
+    else:
+        skipped.append("no_dim2_irreps")
 
     from .commgeo import enumerate_center_fiber
     fiber = enumerate_center_fiber(field, 1, 0, 0, 1)
@@ -292,8 +295,10 @@ def cmd_verify_all(args):
         and all(v["members"] == v["total"] for v in locus[12].values()))
 
     ok = all(results.values())
-    return _emit(args, {"prime": args.prime, "seed": args.seed,
-                        "results": results}, ok)
+    payload = {"prime": args.prime, "seed": args.seed, "results": results}
+    if skipped:
+        payload["skipped"] = skipped
+    return _emit(args, payload, ok)
 
 
 def build_parser():

@@ -8,8 +8,8 @@ irreducible S-polynomials as new rules, so normal forms are unique for
 inputs within the bound.  Nothing is ever claimed beyond the bound.
 
 Internally words are re-encoded into an alphabet where plain (len, str)
-comparison realizes the order, which lets the reduction kernel (compiled
-or pure) avoid custom comparators.
+comparison realizes the order, which lets the reducer avoid custom
+comparators.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from . import _kernel
 from .errors import BudgetExceeded, DegreeOutOfRange
-from .fields import PrimeField
 from .freealg import NcPoly, WordOrder
 
 
@@ -42,7 +40,7 @@ class RewriteSystem:
         self.confluent_to = 0
         self.inconsistent = False  # a nonzero scalar entered the ideal
         self._rules = []  # list of (lead_enc, tail_dict enc-word -> scalar)
-        self._enc_rules = ()  # kernel form, rebuilt on change
+        self._enc_rules = ()  # reducer form, rebuilt on change
 
     # -- rule bookkeeping -------------------------------------------------
 
@@ -72,10 +70,6 @@ class RewriteSystem:
 
     def _reduce_enc(self, terms: dict) -> dict:
         """Reduce encoded terms to (bound-certified) normal form."""
-        if not terms:
-            return {}
-        if isinstance(self.field, PrimeField):
-            return _kernel.reduce_terms(terms, self._enc_rules, self.field.p)
         return _reduce_generic(terms, self._enc_rules, self.field)
 
     def normal_form(self, p: NcPoly) -> NcPoly:
@@ -127,13 +121,22 @@ class RewriteSystem:
 
 
 def _reduce_generic(terms, rules, field):
-    """Field-generic mirror of the kernel's reduce_terms."""
-    work = dict(terms)
+    """Reduce an encoded term dict {word: coeff} modulo the rules.
+
+    Coefficients are nonzero elements of ``field``, as in ``NcPoly.terms``.
+    Rules are ``(lead, ((word, coeff), ...))`` with every tail word
+    strictly smaller than the lead, which guarantees termination.
+    Deterministic: always rewrites the largest reducible word, at its
+    leftmost reducible position, by the first matching rule.
+    """
+    add, mul, zero = field.add, field.mul, field.zero
+    # keyed by (len, word) so that plain max() is the graded order
+    work = {(len(w), w): c for w, c in terms.items()}
     result = {}
-    zero = field.zero
     while work:
-        w = max(work, key=lambda u: (len(u), u))
-        c = work.pop(w)
+        key = max(work)
+        c = work.pop(key)
+        w = key[1]
         hit = None
         best = -1
         for lead, tail in rules:
@@ -144,21 +147,19 @@ def _reduce_generic(terms, rules, field):
                 if pos == 0:
                     break
         if hit is None:
-            s = field.add(result.get(w, zero), c)
-            if s != zero:
-                result[w] = s
-            else:
-                result.pop(w, None)
+            # every word queued after w is smaller, so w is final
+            result[w] = c
             continue
         lead, tail = hit
         prefix, suffix = w[:best], w[best + len(lead):]
         for tw, tc in tail:
             nw = prefix + tw + suffix
-            s = field.add(work.get(nw, zero), field.mul(c, tc))
+            nkey = (len(nw), nw)
+            s = add(work.get(nkey, zero), mul(c, tc))
             if s != zero:
-                work[nw] = s
+                work[nkey] = s
             else:
-                work.pop(nw, None)
+                work.pop(nkey, None)
     return result
 
 
@@ -273,10 +274,7 @@ def complete(relations, order: WordOrder | None = None, degree_bound: int = 13,
             changed = False
             for i, (lead, tail) in enumerate(list(system._rules)):
                 others = tuple(r for r in system._enc_rules if r[0] != lead)
-                if isinstance(system.field, PrimeField):
-                    red = _kernel.reduce_terms(dict(tail), others, system.field.p)
-                else:
-                    red = _reduce_generic(dict(tail), others, system.field)
+                red = _reduce_generic(tail, others, system.field)
                 if red != tail:
                     system._rules[i] = (lead, red)
                     changed = True

@@ -124,6 +124,17 @@ def test_verify_all_and_determinism(capsys):
     assert out1 == out2
     payload = json.loads(out1)
     assert payload["ok"] and all(payload["results"].values())
+    assert "skipped" not in payload
+
+
+def test_verify_all_names_skipped_check_above_dim2_cap(capsys):
+    # 37 > DIM2_MAX_P: the dim-2 search is not run, and the output says so
+    code, out = run(capsys, "verify-all", "--prime", "37", "--seed", "0")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["skipped"] == ["no_dim2_irreps"]
+    assert "no_dim2_irreps" not in payload["results"]
+    assert payload["ok"] and all(payload["results"].values())
 
 
 def test_error_exit_code_one(capsys):

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from cubiclifford.errors import DegreeOutOfRange
+from cubiclifford.fields import make_field
 from cubiclifford.freealg import NcPoly, WordOrder, clifford_relations, commutator
-from cubiclifford.rewrite import complete, hilbert_oracle
+from cubiclifford.rewrite import _reduce_generic, complete, hilbert_oracle
 
 # first coefficients of 1/((1-t)^5 (1+t) (1+t+t^2)^2), frozen from the
 # composition-counting oracle itself at build time
@@ -161,3 +162,124 @@ def test_dump_format(system13):
     lines = system13.dump().splitlines()
     assert len(lines) == 5
     assert all(" -> " in line for line in lines)
+
+
+def reference_reduce_terms(terms, rules, p):
+    """The former prime-field reduction loop, kept as the oracle for
+    ``_reduce_generic``: same rules, same rewriting strategy, but graded
+    max by a key function and residues taken with ``%`` inline."""
+    work = dict(terms)
+    result = {}
+    while work:
+        w = max(work, key=lambda u: (len(u), u))
+        c = work.pop(w)
+        best_pos = -1
+        best_rule = None
+        for lead, tail in rules:
+            pos = w.find(lead)
+            if pos != -1 and (best_pos == -1 or pos < best_pos):
+                best_pos = pos
+                best_rule = (lead, tail)
+                if pos == 0:
+                    break
+        if best_rule is None:
+            s = (result.get(w, 0) + c) % p
+            if s:
+                result[w] = s
+            elif w in result:
+                del result[w]
+            continue
+        lead, tail = best_rule
+        prefix = w[:best_pos]
+        suffix = w[best_pos + len(lead):]
+        for tw, tc in tail:
+            nw = prefix + tw + suffix
+            s = (work.get(nw, 0) + c * tc) % p
+            if s:
+                work[nw] = s
+            elif nw in work:
+                del work[nw]
+    return result
+
+
+def random_int_terms(rng, count, lo, hi, coeffs):
+    """``count`` seeded term dicts of 1-5 words of degree lo..hi."""
+    out = []
+    for _ in range(count):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            word = "".join(rng.choice("xy")
+                           for _ in range(rng.randint(lo, hi)))
+            terms[word] = rng.choice(coeffs)
+        out.append(terms)
+    return out
+
+
+@pytest.mark.parametrize("big_letter", ["x", "y"])
+@pytest.mark.parametrize("bound,lo", [(13, 0), (20, 14)])
+def test_reducer_matches_prime_field_reference(f13, big_letter, bound, lo):
+    order = WordOrder(big_letter)
+    system = complete(clifford_relations(f13), order=order,
+                      degree_bound=bound)
+    rng = random.Random(f"reducer:{big_letter}:{bound}")
+    for terms in random_int_terms(rng, 100, lo, bound, range(1, 13)):
+        enc = {order.encode(w): c for w, c in terms.items()}
+        assert (_reduce_generic(enc, system._enc_rules, f13)
+                == reference_reduce_terms(enc, system._enc_rules, 13))
+
+
+def test_rational_normal_forms_reduce_to_prime_field_ones(f13, rationals):
+    # the Fraction path of the reducer, checked against the F_13 path
+    sys13 = complete(clifford_relations(f13), degree_bound=20)
+    sysq = complete(clifford_relations(rationals), degree_bound=20)
+    rng = random.Random("rational-vs-f13")
+    coeffs = [c for c in range(-9, 10) if c]
+    for terms in random_int_terms(rng, 100, 14, 20, coeffs):
+        nf13 = sys13.normal_form(NcPoly(f13, terms))
+        nfq = sysq.normal_form(NcPoly(rationals, terms))
+        mod13 = {w: c.numerator * pow(c.denominator, -1, 13) % 13
+                 for w, c in nfq.terms.items()}
+        assert {w: c for w, c in mod13.items() if c} == nf13.terms
+
+
+def toy_relations(field):
+    # completion leaves xxx -> 10*xxy + 9*xyy (over F_13), which only the
+    # canonical pass reduces by xy -> 8*yx; the Clifford rules come out of
+    # completion already canonical
+    return [NcPoly(field, {"xxx": 9, "xxy": 1, "xyy": 10}),
+            NcPoly(field, {"xy": 1, "yx": 5})]
+
+
+# complete(relations(F), degree_bound=bound).dump(), recorded before the
+# prime-field reduction loop was folded into _reduce_generic
+PINNED_DUMPS = [
+    ("prime", 13, clifford_relations, 20, """\
+xyyy -> 1*yyyx
+xxyy -> 12*xyxy + 1*yxyx + 1*yyxx
+xxxy -> 1*yxxx
+xyxyy -> 1*yxyxy + 1*yyxxy + 12*yyyxx
+xxyxy -> 1*xyxyx + 1*xyyxx + 12*yyxxx"""),
+    ("rational", None, clifford_relations, 20, """\
+xyyy -> 1*yyyx
+xxyy -> -1*xyxy + 1*yxyx + 1*yyxx
+xxxy -> 1*yxxx
+xyxyy -> 1*yxyxy + 1*yyxxy + -1*yyyxx
+xxyxy -> 1*xyxyx + 1*xyyxx + -1*yyxxx"""),
+    ("prime", 13, toy_relations, 5, """\
+xy -> 8*yx
+xxx -> 3*yxx + 4*yyx
+yyyx -> 0
+yyxx -> 0"""),
+    ("rational", None, toy_relations, 5, """\
+xy -> -5*yx
+xxx -> -25/9*yxx + -250/9*yyx
+yyyx -> 0
+yyxx -> 0"""),
+]
+
+
+@pytest.mark.parametrize("kind,p,relations,bound,dump", PINNED_DUMPS)
+def test_completion_dump_is_pinned(kind, p, relations, bound, dump):
+    field = make_field(kind, p)
+    system = complete(relations(field), degree_bound=bound)
+    assert system.dump() == dump
