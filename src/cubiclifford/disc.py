@@ -71,12 +71,14 @@ def modified_gram_check(alg: FinDimAlgebra, ell: int, trials: int = 50,
     det[tr(y_i y_j')]; True iff one is found.  Agrees with the negation
     of membership when the sampling finds a witness (rank >= ell)."""
     F = alg.field
+    p, dim = F.p, alg.dim
     rng = random.Random(seed)
     G = _cached_gram(alg)
     for _ in range(trials):
-        Y = Matrix(F, [[F.of(rng.randrange(F.p)) for _ in range(alg.dim)]
+        # randrange(p) is already a residue in [0, p)
+        Y = Matrix(F, [[rng.randrange(p) for _ in range(dim)]
                        for _ in range(ell)])
-        Yp = Matrix(F, [[F.of(rng.randrange(F.p)) for _ in range(alg.dim)]
+        Yp = Matrix(F, [[rng.randrange(p) for _ in range(dim)]
                         for _ in range(ell)])
         # tr(y y') is the Gram bilinear form, so the pair matrix is Y G Y'^T
         if det(Y.mul(G).mul(Yp.transpose())) != F.zero:

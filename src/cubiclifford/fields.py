@@ -4,6 +4,13 @@ Scalars are plain Python objects: residues ``int`` in ``[0, p)`` for prime
 fields, ``fractions.Fraction`` for the rationals.  A field object supplies
 the arithmetic, so the rest of the package never touches ``%`` or
 ``Fraction`` directly.
+
+Row operations of the dense linear algebra are the one exception to
+per-scalar calls: they compute a whole row with the plain ``+ - *``
+operators, which are exact on ``int`` and ``Fraction`` alike, and then
+make one ``reduce_row`` call.  For F_p that maps the row back into
+``[0, p)``; for Q it is the identity.  Division never happens inside a
+row: pivots are inverted with ``inv`` first.
 """
 
 from __future__ import annotations
@@ -73,6 +80,11 @@ class PrimeField:
     def mul(self, a, b):
         return (a * b) % self.p
 
+    def reduce_row(self, xs):
+        """Residues of a row of unreduced integers."""
+        p = self.p
+        return [x % p for x in xs]
+
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -129,6 +141,10 @@ class RationalField:
 
     def mul(self, a, b):
         return a * b
+
+    def reduce_row(self, xs):
+        """Rationals are always canonical: the row itself."""
+        return xs
 
     def inv(self, a):
         if a == 0:

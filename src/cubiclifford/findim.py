@@ -158,11 +158,12 @@ def reduce_center_images(alg: FinDimAlgebra):
     return out
 
 
-def check_unit_and_associativity(alg: FinDimAlgebra, sample_cap: int = 12):
-    """Unit law always; associativity complete when dim <= sample_cap,
-    otherwise on a deterministic sample of triples."""
+def check_unit_and_associativity(alg: FinDimAlgebra):
+    """Unit law, and associativity (e_i e_j) e_k = e_i (e_j e_k) on every
+    triple of basis elements, with e_i e_j read from the table."""
     F = alg.field
     dim = alg.dim
+    table = alg.table
     unit = alg.unit_vector()
     basis_vecs = []
     for i in range(dim):
@@ -172,17 +173,10 @@ def check_unit_and_associativity(alg: FinDimAlgebra, sample_cap: int = 12):
     for v in basis_vecs:
         if alg.mul_vec(unit, v) != v or alg.mul_vec(v, unit) != v:
             return False
-    if dim <= sample_cap:
-        triples = ((i, j, k) for i in range(dim) for j in range(dim)
-                   for k in range(dim))
-    else:
-        triples = (((7 * t) % dim, (11 * t + 3) % dim, (13 * t + 5) % dim)
-                   for t in range(sample_cap ** 3))
-    for i, j, k in triples:
-        left = alg.mul_vec(alg.mul_vec(basis_vecs[i], basis_vecs[j]),
-                           basis_vecs[k])
-        right = alg.mul_vec(basis_vecs[i],
-                            alg.mul_vec(basis_vecs[j], basis_vecs[k]))
-        if left != right:
-            return False
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                if (alg.mul_vec(table[i][j], basis_vecs[k])
+                        != alg.mul_vec(basis_vecs[i], table[j][k])):
+                    return False
     return True

@@ -3,9 +3,17 @@
 Matrices are lists of row lists of scalars.  Pivoting is deterministic
 (first nonzero entry, columns left to right, rows top down), so all
 outputs are reproducible.
+
+Every row operation (a product row, a scaled pivot row, an elimination
+step) is computed with the plain ``+ - *`` operators on the scalars and
+then passed once through ``field.reduce_row``: one field reduction per
+row, not a field-method call per entry.  The code is the same for F_p
+and Q; only ``reduce_row`` and ``inv`` differ between them.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .errors import NotSquare
 
@@ -36,34 +44,26 @@ class Matrix:
                                    for j in range(self.cols)])
 
     def mul(self, other: "Matrix") -> "Matrix":
-        F = self.field
-        out = Matrix.zero(F, self.rows, other.cols)
-        for i in range(self.rows):
-            row = self.entries[i]
-            orow = out.entries[i]
-            for k in range(self.cols):
-                a = row[k]
-                if a == F.zero:
-                    continue
-                brow = other.entries[k]
-                for j in range(other.cols):
-                    orow[j] = F.add(orow[j], F.mul(a, brow[j]))
-        return out
+        red = self.field.reduce_row
+        cols = list(zip(*other.entries))
+        return Matrix(self.field, [
+            red([sum(map(mul, row, col)) for col in cols])
+            for row in self.entries])
 
     def mul_vec(self, v):
-        F = self.field
-        return [
-            _dot(F, self.entries[i], v) for i in range(self.rows)
-        ]
+        return self.field.reduce_row([sum(map(mul, row, v))
+                                      for row in self.entries])
 
     def sub(self, other: "Matrix") -> "Matrix":
-        F = self.field
-        return Matrix(F, [[F.sub(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.entries, other.entries)])
+        red = self.field.reduce_row
+        return Matrix(self.field, [red([a - b for a, b in zip(r1, r2)])
+                                   for r1, r2 in zip(self.entries,
+                                                     other.entries)])
 
     def scale(self, c):
-        F = self.field
-        return Matrix(F, [[F.mul(c, a) for a in row] for row in self.entries])
+        red = self.field.reduce_row
+        return Matrix(self.field, [red([c * a for a in row])
+                                   for row in self.entries])
 
     def trace(self):
         if self.rows != self.cols:
@@ -86,36 +86,25 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, {self.entries!r})"
 
 
-def _dot(F, row, v):
-    s = F.zero
-    for a, b in zip(row, v):
-        if a != F.zero and b != F.zero:
-            s = F.add(s, F.mul(a, b))
-    return s
-
-
 def rref(m: Matrix):
     """Reduced row-echelon form; returns (R, rank, pivot_columns)."""
     F = m.field
+    red = F.reduce_row
     a = [list(row) for row in m.entries]
     rows, cols = m.rows, m.cols
     pivots = []
     r = 0
     for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if a[i][c] != F.zero:
-                pr = i
-                break
+        pr = next((i for i in range(r, rows) if a[i][c]), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
         inv = F.inv(a[r][c])
-        a[r] = [F.mul(inv, e) for e in a[r]]
+        prow = a[r] = red([inv * e for e in a[r]])
         for i in range(rows):
-            if i != r and a[i][c] != F.zero:
-                f = a[i][c]
-                a[i] = [F.sub(e, F.mul(f, pe)) for e, pe in zip(a[i], a[r])]
+            f = a[i][c]
+            if f and i != r:
+                a[i] = red([e - f * pe for e, pe in zip(a[i], prow)])
         pivots.append(c)
         r += 1
         if r == rows:
@@ -147,26 +136,24 @@ def det(m: Matrix):
     if m.rows != m.cols:
         raise NotSquare("determinant needs a square matrix")
     F = m.field
+    red = F.reduce_row
     a = [list(row) for row in m.entries]
     n = m.rows
     d = F.one
     for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if a[i][c] != F.zero:
-                pr = i
-                break
+        pr = next((i for i in range(c, n) if a[i][c]), None)
         if pr is None:
             return F.zero
         if pr != c:
             a[c], a[pr] = a[pr], a[c]
             d = F.neg(d)
-        d = F.mul(d, a[c][c])
-        inv = F.inv(a[c][c])
+        prow = a[c]
+        d = F.mul(d, prow[c])
+        inv = F.inv(prow[c])
         for i in range(c + 1, n):
-            if a[i][c] != F.zero:
+            if a[i][c]:
                 f = F.mul(a[i][c], inv)
-                a[i] = [F.sub(e, F.mul(f, pe)) for e, pe in zip(a[i], a[c])]
+                a[i] = red([e - f * pe for e, pe in zip(a[i], prow)])
     return d
 
 

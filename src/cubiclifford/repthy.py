@@ -21,7 +21,7 @@ from .commgeo import CentralPoint
 from .errors import (CharacteristicTooSmall, FieldTooLarge, NotScalar,
                      SplitFailure)
 from .findim import FinDimAlgebra
-from .linalg import Matrix, kernel, rank, rref
+from .linalg import Matrix, kernel, rank, rref, solve
 
 
 @dataclass
@@ -111,18 +111,24 @@ def radical(alg: FinDimAlgebra):
     return K
 
 
-def _span_rank(F, vectors):
-    return rank(Matrix(F, vectors)) if vectors else 0
-
-
-def _in_span(F, rows, v):
-    if not rows:
-        return all(c == F.zero for c in v)
-    return _span_rank(F, rows) == _span_rank(F, rows + [v])
+def _reduce_mod(F, rows, pivots, v):
+    """Residue of v modulo the span of reduced echelon rows (unit pivots,
+    zeros in the other rows' pivot columns); zero iff v is in the span."""
+    red = F.reduce_row
+    for row, pc in zip(rows, pivots):
+        c = v[pc]
+        if c:
+            v = red([a - c * b for a, b in zip(v, row)])
+    return v
 
 
 def _is_nilpotent_ideal(alg: FinDimAlgebra, K):
+    """K is a two-sided ideal and some power of it is zero.  K is
+    row-reduced once; each product e_i k and k e_i must reduce to zero
+    against it."""
     F = alg.field
+    R, rk, pivots = rref(Matrix(F, K))
+    rows = R.entries[:rk]
     basis_vecs = []
     for i in range(alg.dim):
         e = [F.zero] * alg.dim
@@ -130,13 +136,13 @@ def _is_nilpotent_ideal(alg: FinDimAlgebra, K):
         basis_vecs.append(e)
     for k in K:
         for e in basis_vecs:
-            if not _in_span(F, K, alg.mul_vec(e, k)):
+            if any(_reduce_mod(F, rows, pivots, alg.mul_vec(e, k))):
                 return False
-            if not _in_span(F, K, alg.mul_vec(k, e)):
+            if any(_reduce_mod(F, rows, pivots, alg.mul_vec(k, e))):
                 return False
     # nilpotency: successive powers K, K^2, ... must reach zero
-    current = list(K)
-    prev_rank = _span_rank(F, current)
+    current = rows
+    prev_rank = rk
     for _ in range(alg.dim + 1):
         products = [alg.mul_vec(u, v) for u in current for v in K]
         R, rk, _ = rref(Matrix(F, products))
@@ -168,12 +174,7 @@ class _Quotient:
 
     def project(self, v):
         """Reduce v modulo the radical; returns coords on free columns."""
-        F = self.field
-        v = list(v)
-        for row, pc in zip(self.rad_rows, self.pivots):
-            c = v[pc]
-            if c != F.zero:
-                v = [F.sub(a, F.mul(c, b)) for a, b in zip(v, row)]
+        v = _reduce_mod(self.field, self.rad_rows, self.pivots, v)
         return [v[i] for i in self.free]
 
     def lift(self, u):
@@ -321,7 +322,6 @@ def _min_poly(quot: _Quotient, v):
     # solve c_0 p_0 + ... + c_{d-1} p_{d-1} = p_d
     A = Matrix(F, [[rows[i][j] for i in range(len(rows) - 1)]
                    for j in range(quot.dim)])
-    from .linalg import solve
     sol = solve(A, rows[-1])
     coeffs = [F.neg(c) for c in sol] + [F.one]
     return [int(c) for c in coeffs]

@@ -99,3 +99,20 @@ def test_criterion_mismatch_is_raised_on_inconsistent_profile(f13,
                           (3,), 5, 9)
     with pytest.raises(CriterionMismatch):
         v_ell_membership(f13, broken.point, 7, broken)
+
+
+def _first_witness_trial(alg, ell, seed):
+    """Smallest trial budget for which the witness search succeeds."""
+    return next(t for t in range(1, 51)
+                if modified_gram_check(alg, ell, trials=t, seed=seed))
+
+
+def test_modified_gram_witness_draws_pinned(smooth_profile, cubic_profile):
+    # recorded before the matrices were built from plain residues; the
+    # same seeded draws must find the same witnesses
+    cases = [(smooth_profile, 3, [1] * 10),
+             (smooth_profile, 9, [1, 1, 2, 1, 1, 2, 2, 1, 1, 2]),
+             (cubic_profile, 3, [1, 1, 2, 1, 1, 1, 1, 1, 1, 1])]
+    for prof, ell, expected in cases:
+        assert [_first_witness_trial(prof.algebra, ell, seed)
+                for seed in range(10)] == expected

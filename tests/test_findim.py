@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from cubiclifford.center import central_elements
 from cubiclifford.commgeo import central_point, enumerate_center_fiber
 from cubiclifford.errors import ZeroAlgebra
-from cubiclifford.findim import (build_quotient, check_unit_and_associativity,
+from cubiclifford.findim import (FinDimAlgebra, build_quotient,
+                                 check_unit_and_associativity,
                                  generator_matrices, quotient_relations,
                                  reduce_center_images)
 from cubiclifford.freealg import NcPoly
@@ -59,6 +62,20 @@ def test_unit_and_associativity(smooth_alg, singular_alg, origin_alg):
     assert check_unit_and_associativity(smooth_alg)
     assert check_unit_and_associativity(singular_alg)
     assert check_unit_and_associativity(origin_alg)
+
+
+def test_associativity_catches_single_constant_corruptions(f13, origin_alg):
+    # each corruption changes one structure constant of a product of two
+    # non-unit basis elements, so only associativity can catch it
+    alg = origin_alg
+    rng = random.Random(0)
+    for _ in range(20):
+        i, j = rng.randrange(1, alg.dim), rng.randrange(1, alg.dim)
+        k = rng.randrange(alg.dim)
+        table = [[list(v) for v in row] for row in alg.table]
+        table[i][j][k] = (table[i][j][k] + rng.randrange(1, 13)) % 13
+        bad = FinDimAlgebra(f13, alg.system, alg.basis, table)
+        assert not check_unit_and_associativity(bad), (i, j, k)
 
 
 def test_center_images_match_point(f13, smooth_alg, smooth_point):

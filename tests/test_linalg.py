@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cubiclifford.errors import NotSquare
+from cubiclifford.fields import make_field
 from cubiclifford.linalg import Matrix, det, kernel, rank, rref
 from cubiclifford.pointmod import PointTriple, abc_matrix, proj_point, step_matrix
 
@@ -73,3 +74,166 @@ def test_kernel_vectors_annihilate(f13):
                          for _ in range(3)])
         for v in kernel(m):
             assert all(c == f13.zero for c in m.mul_vec(v))
+
+
+# -- reference: per-entry field-method arithmetic, as before the row form --
+
+
+def _reference_mul(a, b):
+    F = a.field
+    out = Matrix.zero(F, a.rows, b.cols)
+    for i in range(a.rows):
+        row = a.entries[i]
+        orow = out.entries[i]
+        for k in range(a.cols):
+            x = row[k]
+            if x == F.zero:
+                continue
+            brow = b.entries[k]
+            for j in range(b.cols):
+                orow[j] = F.add(orow[j], F.mul(x, brow[j]))
+    return out
+
+
+def _reference_mul_vec(m, v):
+    F = m.field
+    out = []
+    for row in m.entries:
+        s = F.zero
+        for a, b in zip(row, v):
+            if a != F.zero and b != F.zero:
+                s = F.add(s, F.mul(a, b))
+        out.append(s)
+    return out
+
+
+def _reference_rref(m):
+    F = m.field
+    a = [list(row) for row in m.entries]
+    rows, cols = m.rows, m.cols
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = None
+        for i in range(r, rows):
+            if a[i][c] != F.zero:
+                pr = i
+                break
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = F.inv(a[r][c])
+        a[r] = [F.mul(inv, e) for e in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != F.zero:
+                f = a[i][c]
+                a[i] = [F.sub(e, F.mul(f, pe)) for e, pe in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return Matrix(F, a), r, pivots
+
+
+def _reference_det(m):
+    F = m.field
+    a = [list(row) for row in m.entries]
+    n = m.rows
+    d = F.one
+    for c in range(n):
+        pr = None
+        for i in range(c, n):
+            if a[i][c] != F.zero:
+                pr = i
+                break
+        if pr is None:
+            return F.zero
+        if pr != c:
+            a[c], a[pr] = a[pr], a[c]
+            d = F.neg(d)
+        d = F.mul(d, a[c][c])
+        inv = F.inv(a[c][c])
+        for i in range(c + 1, n):
+            if a[i][c] != F.zero:
+                f = F.mul(a[i][c], inv)
+                a[i] = [F.sub(e, F.mul(f, pe)) for e, pe in zip(a[i], a[c])]
+    return d
+
+
+def _scalar(F, rng):
+    if F.p:
+        return rng.randrange(F.p)
+    return F.div(F.of(rng.randint(-6, 6)), F.of(rng.randint(1, 5)))
+
+
+def _random_matrix(F, rng, rows, cols, rank_cap=None):
+    """Random rows x cols matrix; with rank_cap, a product of random
+    rows x rank_cap and rank_cap x cols factors, so rank <= rank_cap."""
+    if rank_cap is None:
+        return Matrix(F, [[_scalar(F, rng) for _ in range(cols)]
+                          for _ in range(rows)])
+    return _reference_mul(_random_matrix(F, rng, rows, rank_cap),
+                          _random_matrix(F, rng, rank_cap, cols))
+
+
+def _oracle_cases(F, seed):
+    rng = random.Random(seed)
+    cases = [Matrix(F, []), Matrix(F, [[], [], []]),
+             Matrix.zero(F, 3, 4), Matrix.zero(F, 4, 4),
+             Matrix.identity(F, 5)]
+    for _ in range(40):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        cap = rng.choice([None, None, 1, 2, 3])
+        cases.append(_random_matrix(F, rng, rows, cols, cap))
+    # a repeated row and a zero column
+    m = _random_matrix(F, rng, 4, 5)
+    m.entries[2] = list(m.entries[0])
+    for row in m.entries:
+        row[1] = F.zero
+    cases.append(m)
+    return cases
+
+
+@pytest.fixture(params=[13, 10009, "Q"], ids=["F13", "F10009", "Q"])
+def oracle_field(request, f13, rationals):
+    if request.param == "Q":
+        return rationals
+    return f13 if request.param == 13 else make_field("prime", 10009)
+
+
+def test_rref_matches_reference(oracle_field):
+    for m in _oracle_cases(oracle_field, 11):
+        R, rk, piv = rref(m)
+        R0, rk0, piv0 = _reference_rref(m)
+        assert (R.entries, rk, piv) == (R0.entries, rk0, piv0), m
+        assert R.rows == R0.rows and R.cols == R0.cols
+
+
+def test_det_matches_reference(oracle_field):
+    rng = random.Random(12)
+    squares = [m for m in _oracle_cases(oracle_field, 13) if m.rows == m.cols]
+    squares += [_random_matrix(oracle_field, rng, n, n, cap)
+                for n in range(1, 8) for cap in (None, n - 1 or None)]
+    assert len(squares) > 15
+    for m in squares:
+        assert det(m) == _reference_det(m), m
+
+
+def test_products_match_reference(oracle_field):
+    F = oracle_field
+    rng = random.Random(14)
+    for a in _oracle_cases(F, 15):
+        b = _random_matrix(F, rng, a.cols, rng.randint(0, 5))
+        if a.cols == 0:
+            b = Matrix(F, [])
+        prod = a.mul(b)
+        assert prod == _reference_mul(a, b)
+        assert (prod.rows, prod.cols) == (a.rows, b.cols if a.cols else 0)
+        v = [_scalar(F, rng) for _ in range(a.cols)]
+        assert a.mul_vec(v) == _reference_mul_vec(a, v)
+        c = _scalar(F, rng)
+        assert a.scale(c).entries == [[F.mul(c, x) for x in row]
+                                      for row in a.entries]
+        assert a.sub(a.scale(c)).entries == [
+            [F.sub(x, F.mul(c, x)) for x in row] for row in a.entries]
+

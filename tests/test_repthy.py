@@ -5,7 +5,8 @@ from cubiclifford.commgeo import central_point, enumerate_center_fiber
 from cubiclifford.errors import FieldTooLarge, NotScalar
 from cubiclifford.findim import build_quotient
 from cubiclifford.fields import make_field
-from cubiclifford.linalg import Matrix, rank
+from cubiclifford.freealg import NcPoly
+from cubiclifford.linalg import Matrix, kernel, rank, rref
 from cubiclifford.repthy import (DIM2_MAX_P, BlockStructure, dim2_x_forms,
                                  full_gram, radical, search_irreps_dim1,
                                  search_irreps_dim2, trace, trace_vector,
@@ -97,6 +98,76 @@ def test_smooth_blocks_over_f31(f31):
     assert bs.sum_squares() == 9
     assert bs.irrep_dims() == [3]
 
+
+# -- reference radical certificate: a full rank computation per product --
+
+
+def _reference_span_rank(F, vectors):
+    return rank(Matrix(F, vectors)) if vectors else 0
+
+
+def _reference_in_span(F, rows, v):
+    if not rows:
+        return all(c == F.zero for c in v)
+    return _reference_span_rank(F, rows) == _reference_span_rank(F, rows + [v])
+
+
+def _reference_is_nilpotent_ideal(alg, K):
+    F = alg.field
+    basis_vecs = []
+    for i in range(alg.dim):
+        e = [F.zero] * alg.dim
+        e[i] = F.one
+        basis_vecs.append(e)
+    for k in K:
+        for e in basis_vecs:
+            if not _reference_in_span(F, K, alg.mul_vec(e, k)):
+                return False
+            if not _reference_in_span(F, K, alg.mul_vec(k, e)):
+                return False
+    current = list(K)
+    prev_rank = _reference_span_rank(F, current)
+    for _ in range(alg.dim + 1):
+        products = [alg.mul_vec(u, v) for u in current for v in K]
+        R, rk, _ = rref(Matrix(F, products))
+        if rk == 0:
+            return True
+        if rk == prev_rank:
+            return False
+        current = R.entries[:rk]
+        prev_rank = rk
+    return False
+
+
+def _basis(alg):
+    F = alg.field
+    return [[F.one if i == j else F.zero for j in range(alg.dim)]
+            for i in range(alg.dim)]
+
+
+def test_nilpotent_certificate_matches_reference(singular_alg, origin_alg):
+    for alg in (singular_alg, origin_alg):
+        K = kernel(full_gram(alg))
+        not_ideal = K[:1]  # one radical vector does not span an ideal
+        whole = _basis(alg)  # an ideal that contains the unit
+        assert rank(Matrix(alg.field, not_ideal + [
+            alg.mul_vec(e, not_ideal[0]) for e in whole])) > 1
+        cases = [K, not_ideal, whole]
+        if alg is origin_alg:
+            # A x is a left ideal there, but not a right one
+            x = alg.coords(NcPoly.gen(alg.field, "x"))
+            R, rk, _ = rref(Matrix(alg.field,
+                                   [alg.mul_vec(e, x) for e in whole]))
+            left = R.entries[:rk]
+            assert rank(Matrix(alg.field, left + [
+                alg.mul_vec(e, k) for k in left for e in whole])) == rk
+            assert rank(Matrix(alg.field, left + [
+                alg.mul_vec(k, e) for k in left for e in whole])) > rk
+            cases.append(left)
+        verdicts = [repthy._is_nilpotent_ideal(alg, k) for k in cases]
+        assert verdicts == [True] + [False] * (len(cases) - 1)
+        assert verdicts == [_reference_is_nilpotent_ideal(alg, k)
+                            for k in cases]
 
 # -- reference dim-2 search: tuple-of-tuple matrices, all three relations
 # tested per candidate, irreducibility by the Burnside span ---------------
