@@ -28,7 +28,7 @@ from .pointmod import (PointTriple, abc_system_admits_solution,
                        central_character_diagonal, gamma_invariants,
                        predict_simple_quotient, proj_point, solve_next)
 from .repthy import (DIM2_MAX_P, full_gram, search_irreps_dim1,
-                     search_irreps_dim2, wedderburn_blocks)
+                     search_irreps_dim2)
 from .rewrite import complete, hilbert_oracle
 from .linalg import rank
 
@@ -174,8 +174,7 @@ def cmd_irreps(args):
     payload = {
         "prime": args.prime, "point": [int(v) for v in pt.coords()],
         "dim": prof.algebra.dim,
-        "blocks": [list(b) for b in
-                   wedderburn_blocks(prof.algebra, seed=args.seed).blocks],
+        "blocks": [list(b) for b in prof.blocks.blocks],
         "gram_rank": prof.gram_rank,
         "irrep_dims": list(prof.irrep_dims),
         "sum_of_squares": prof.sum_squares,

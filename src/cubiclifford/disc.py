@@ -19,7 +19,7 @@ from .commgeo import (CentralPoint, CubicForm, central_point,
 from .errors import CriterionMismatch
 from .findim import FinDimAlgebra, build_quotient
 from .linalg import Matrix, det, rank
-from .repthy import full_gram, gram_matrix, wedderburn_blocks
+from .repthy import BlockStructure, full_gram, wedderburn_blocks
 
 
 @dataclass
@@ -34,12 +34,14 @@ class LocusVerdict:
 @dataclass
 class LocusProfile:
     """Per-point data shared by all ell: the quotient, its irreducible
-    dimensions over the closure, and the trace-form rank."""
+    dimensions over the closure, the trace-form rank, and the Wedderburn
+    blocks the dimensions come from."""
     point: CentralPoint
     algebra: FinDimAlgebra
     irrep_dims: tuple
     gram_rank: int
     sum_squares: int
+    blocks: BlockStructure
 
 
 def locus_profile(field, point: CentralPoint, seed: int = 0) -> LocusProfile:
@@ -47,7 +49,8 @@ def locus_profile(field, point: CentralPoint, seed: int = 0) -> LocusProfile:
     blocks = wedderburn_blocks(alg, seed=seed)
     dims = tuple(blocks.irrep_dims())
     g_rank = rank(_cached_gram(alg))
-    return LocusProfile(point, alg, dims, g_rank, sum(d * d for d in dims))
+    return LocusProfile(point, alg, dims, g_rank, sum(d * d for d in dims),
+                        blocks)
 
 
 def v_ell_membership(field, point: CentralPoint, ell: int,

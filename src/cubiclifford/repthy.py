@@ -2,6 +2,12 @@
 Jacobson radical, Wedderburn block decomposition, and the brute-force
 representation searches in dimensions one and two.
 
+The Wedderburn split factors the minimal polynomial of a generic central
+element of A/rad over F_p.  The factorizer is in-tree (`_factor_modp`):
+a squarefree test, distinct-degree factorization and Cantor-Zassenhaus
+equal-degree splitting on dense coefficient lists, with no dependency
+beyond the standard library.
+
 The trace used throughout is the regular trace.  On a 9-dimensional
 Azumaya quotient it is 3 times the reduced trace; since the
 characteristic is never 3, every vanishing or rank statement is
@@ -13,9 +19,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-
-from sympy import ZZ
-from sympy.polys.galoistools import gf_factor
 
 from .commgeo import CentralPoint
 from .errors import (CharacteristicTooSmall, FieldTooLarge, NotScalar,
@@ -208,14 +211,12 @@ class _Quotient:
     def center_basis(self):
         """Kernel of the commutator maps v -> v e_k - e_k v, all k."""
         F = self.field
+        basis = self.basis_vectors()
         big = []
-        for k, e in enumerate(self.basis_vectors()):
-            M = []
-            for j in range(self.dim):
-                ej = self.basis_vectors()[j]
-                col = [F.sub(a, b) for a, b in zip(self.mul(ej, e),
-                                                  self.mul(e, ej))]
-                M.append(col)
+        for e in basis:
+            M = [[F.sub(a, b) for a, b in zip(self.mul(ej, e),
+                                              self.mul(e, ej))]
+                 for ej in basis]
             for i in range(self.dim):
                 big.append([M[j][i] for j in range(self.dim)])
         return kernel(Matrix(F, big))
@@ -276,10 +277,8 @@ def _pextgcd(a, b, p):
     while r1:
         q, r = _pdivmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _ptrim([(x - y) % p for x, y in
-                             _zip_pad(s0, _pmul(q, s1, p))])
-        t0, t1 = t1, _ptrim([(x - y) % p for x, y in
-                             _zip_pad(t0, _pmul(q, t1, p))])
+        s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
+        t0, t1 = t1, _psub(t0, _pmul(q, t1, p), p)
     if r0:
         inv = pow(r0[-1], p - 2, p)
         r0 = [c * inv % p for c in r0]
@@ -293,17 +292,66 @@ def _zip_pad(a, b):
     return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
 
 
-def _factor_modp(coeffs, p):
-    """Irreducible factors (as low-to-high coefficient lists) of a monic
-    polynomial over F_p, via sympy's finite-field factorizer."""
-    high_to_low = [int(c) % p for c in reversed(coeffs)]
-    _, factors = gf_factor(high_to_low, p, ZZ)
-    out = []
-    for f, mult in factors:
-        fc = [int(c) % p for c in reversed(f)]
-        for _ in range(mult):
-            out.append(fc)
+def _psub(a, b, p):
+    return _ptrim([(x - y) % p for x, y in _zip_pad(a, b)])
+
+
+def _ppowmod(a, e, f, p):
+    """a^e mod f, by square-and-multiply."""
+    out, a = [1], _pmod(a, f, p)
+    while e:
+        if e & 1:
+            out = _pmod(_pmul(out, a, p), f, p)
+        e >>= 1
+        if e:
+            a = _pmod(_pmul(a, a, p), f, p)
     return out
+
+
+def _factor_modp(coeffs, p):
+    """Irreducible factors (monic, low-to-high coefficient lists) of a
+    monic polynomial over F_p, p odd, or None if it is not squarefree.
+
+    Squarefree means gcd(f, f') = 1; this also rejects f' = 0, i.e.
+    f = g(x^p).  Distinct-degree factorization then splits off
+    g_k = gcd(f, x^(p^k) - x), the product of the degree-k factors, and
+    Cantor-Zassenhaus splits each g_k by gcd(g_k, t^((p^k - 1)/2) - 1)
+    for random t (Math. Comp. 36, 1981).  The splitters come from a local
+    fixed-seed generator, so the result is deterministic and no caller's
+    random sequence is consumed.
+    """
+    f = [c % p for c in coeffs]
+    deriv = _ptrim([i * c % p for i, c in enumerate(f)][1:])
+    if len(_pextgcd(f, deriv, p)[0]) != 1:
+        return None
+    rng = random.Random(0)
+    factors = []
+    h = [0, 1]  # x^(p^k), reduced modulo the input polynomial
+    k = 1
+    while 2 * k <= len(f) - 1:
+        h = _ppowmod(h, p, f, p)
+        g = _pextgcd(f, _psub(h, [0, 1], p), p)[0]
+        if len(g) > 1:
+            factors.extend(_split_equal_degree(g, k, p, rng))
+            f = _pdivmod(f, g, p)[0]
+        k += 1
+    if len(f) > 1:
+        factors.append(f)
+    return factors
+
+
+def _split_equal_degree(g, k, p, rng):
+    """Factors of a squarefree monic g whose irreducible factors all have
+    degree k (Cantor-Zassenhaus, p odd)."""
+    if len(g) - 1 == k:
+        return [g]
+    e = (p ** k - 1) // 2
+    while True:
+        t = _ptrim([rng.randrange(p) for _ in range(len(g) - 1)])
+        d = _pextgcd(g, _psub(_ppowmod(t, e, g, p), [1], p), p)[0]
+        if 1 < len(d) < len(g):
+            return (_split_equal_degree(d, k, p, rng)
+                    + _split_equal_degree(_pdivmod(g, d, p)[0], k, p, rng))
 
 
 def _min_poly(quot: _Quotient, v):
@@ -347,14 +395,14 @@ def wedderburn_blocks(alg: FinDimAlgebra, seed: int = 0,
         if len(m) - 1 != zdim:
             continue
         factors = _factor_modp(m, p)
-        if len(set(map(tuple, factors))) != len(factors):
+        if factors is None:
             continue  # not squarefree: not a generator, reseed
+        # m is squarefree, so its factors are pairwise coprime and each
+        # hi = m / mi has an inverse s modulo mi
         blocks = []
         for mi in factors:
             hi, _ = _pdivmod(m, mi, p)
-            g, s, _ = _pextgcd(hi, mi, p)
-            if len(g) != 1:
-                break
+            _, s, _ = _pextgcd(hi, mi, p)
             ui = _pmod(_pmul(hi, s, p), m, p)
             e = _poly_eval_alg(quot, ui, v)
             # block = (A/rad) e: span of b_k e
@@ -367,9 +415,8 @@ def wedderburn_blocks(alg: FinDimAlgebra, seed: int = 0,
                 raise SplitFailure(
                     f"block of dim {bdim} incompatible with center degree {k}")
             blocks.append((n, k))
-        else:
-            blocks.sort()
-            return BlockStructure(blocks=blocks, radical_dim=len(rad))
+        blocks.sort()
+        return BlockStructure(blocks=blocks, radical_dim=len(rad))
     raise SplitFailure("no generating central element found within budget")
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cubiclifford
 from cubiclifford.cli import main
 
 
@@ -70,6 +75,47 @@ def test_irreps(capsys):
     assert payload["gram_rank"] == 3
     assert payload["irrep_dims"] == [1, 1, 1]
     assert len(payload["dim1_reps"]) == 3
+
+
+@pytest.mark.parametrize("point, stdout", [
+    ("1,1,1,1", '{"blocks":[[1,1],[1,1],[1,1]],"dim":15,'
+                '"dim1_reps":[[1,1],[3,3],[9,9]],"gram_rank":3,'
+                '"irrep_dims":[1,1,1],"ok":true,"point":[1,1,1,1,0,0],'
+                '"prime":13,"schema":1,"sum_of_squares":3}\n'),
+    ("0,0,0,0", '{"blocks":[[1,1]],"dim":17,"dim1_reps":[[0,0]],'
+                '"gram_rank":1,"irrep_dims":[1],"ok":true,'
+                '"point":[0,0,0,0,0,0],"prime":13,"schema":1,'
+                '"sum_of_squares":1}\n'),
+], ids=["cubic", "origin"])
+def test_irreps_stdout_pinned(capsys, point, stdout):
+    assert main(["irreps", "--point", point]) == 0
+    assert capsys.readouterr().out == stdout
+
+
+def _run_python(code):
+    """Run code in a fresh interpreter that imports this cubiclifford."""
+    src = str(Path(cubiclifford.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_cli_import_does_not_load_sympy():
+    res = _run_python("import sys, cubiclifford.cli; "
+                      "print('sympy' in sys.modules)")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
+
+
+def test_irreps_runs_with_sympy_blocked():
+    # a None entry in sys.modules makes every import of sympy raise
+    res = _run_python("import sys; sys.modules['sympy'] = None; "
+                      "from cubiclifford.cli import main; "
+                      "sys.exit(main(['irreps', '--point', '1,1,1,1']))")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["irrep_dims"] == [1, 1, 1]
 
 
 def test_search_dim2(capsys):

@@ -96,7 +96,7 @@ def test_criterion_mismatch_is_raised_on_inconsistent_profile(f13,
                                                              smooth_profile):
     from cubiclifford.disc import LocusProfile
     broken = LocusProfile(smooth_profile.point, smooth_profile.algebra,
-                          (3,), 5, 9)
+                          (3,), 5, 9, smooth_profile.blocks)
     with pytest.raises(CriterionMismatch):
         v_ell_membership(f13, broken.point, 7, broken)
 

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from cubiclifford import repthy
@@ -97,6 +100,130 @@ def test_smooth_blocks_over_f31(f31):
     bs = wedderburn_blocks(alg)
     assert bs.sum_squares() == 9
     assert bs.irrep_dims() == [3]
+
+
+# -- factorization over F_p against a table built by multiplication --------
+
+
+def _mul(a, b, p):
+    """Product of low-to-high coefficient tuples over F_p."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return tuple(out)
+
+
+def _factorization_table(p, max_deg):
+    """Every monic polynomial of degree 1..max_deg over F_p, mapped to
+    the tuple of its monic irreducible factors with repetition.
+    Irreducibles are sieved degree by degree (not a product of a lower
+    irreducible and a monic), then every multiset of them within the
+    degree budget is multiplied out; each product must be new, and each
+    degree d must be covered by exactly p^d of them."""
+    monics = {d: [low + (1,) for low in itertools.product(range(p),
+                                                          repeat=d)]
+              for d in range(1, max_deg + 1)}
+    irreducibles = []
+    for d in range(1, max_deg + 1):
+        composite = {_mul(g, h, p) for g in irreducibles
+                     if 2 * (len(g) - 1) <= d
+                     for h in monics[d - len(g) + 1]}
+        irreducibles += [f for f in monics[d] if f not in composite]
+    table = {}
+
+    def extend(start, prod, factors):
+        for i in range(start, len(irreducibles)):
+            g = irreducibles[i]
+            if len(prod) + len(g) - 2 > max_deg:
+                break  # irreducibles are sorted by degree
+            f = _mul(prod, g, p)
+            assert f not in table
+            table[f] = factors + (g,)
+            extend(i, f, factors + (g,))
+
+    extend(0, (1,), ())
+    for d in range(1, max_deg + 1):
+        assert sum(len(f) - 1 == d for f in table) == p ** d
+    return irreducibles, table
+
+
+def _check_factorization(f, factors, p):
+    got = repthy._factor_modp(list(f), p)
+    if len(set(factors)) < len(factors):
+        assert got is None, f
+    else:
+        assert got is not None, f
+        assert sorted(map(tuple, got)) == sorted(factors), f
+
+
+@pytest.fixture(scope="module")
+def factor_tables():
+    return {7: _factorization_table(7, 4), 13: _factorization_table(13, 4)}
+
+
+@pytest.mark.parametrize("p, counts", [
+    (7, [7, 21, 112, 588]), (13, [13, 78, 728, 7098])])
+def test_irreducible_counts(factor_tables, p, counts):
+    irreducibles, _ = factor_tables[p]
+    assert [sum(len(g) - 1 == d for g in irreducibles)
+            for d in range(1, 5)] == counts
+
+
+def test_factor_modp_exhaustive(factor_tables):
+    # every monic of degree <= 4 over F_7 and of degree <= 3 over F_13
+    for p, max_deg in ((7, 4), (13, 3)):
+        for f, factors in factor_tables[p][1].items():
+            if len(f) - 1 <= max_deg:
+                _check_factorization(f, factors, p)
+
+
+def test_factor_modp_sampled_quartics_f13(factor_tables):
+    table = factor_tables[13][1]
+    quartics = sorted(f for f in table if len(f) == 5)
+    for f in random.Random(7).sample(quartics, 800):
+        _check_factorization(f, table[f], 13)
+
+
+def test_factor_modp_rejects_zero_derivative():
+    # x^7 - 1 = (x - 1)^7 over F_7, and its derivative is 0
+    assert repthy._factor_modp([6, 0, 0, 0, 0, 0, 0, 1], 7) is None
+
+
+def test_factor_modp_two_quadratics_need_degree_two_split():
+    # 3 and 5 are non-squares mod 7: x^2 - 3 and x^2 - 5 are irreducible,
+    # and only the k = 2 equal-degree split separates them
+    f = list(_mul((4, 0, 1), (2, 0, 1), 7))
+    assert sorted(repthy._factor_modp(f, 7)) == [[2, 0, 1], [4, 0, 1]]
+
+
+def test_factor_modp_large_prime_products():
+    # irreducibles over F_10009 certified by Euler's criterion:
+    # (x - s)^2 - a with a a non-square, (x - s)^3 - a with a a non-cube
+    # (10009 = 1 mod 3)
+    p = 10009
+    rng = random.Random(10009)
+    for _ in range(20):
+        factors = set()
+        for deg in (1, 1, 2, 2, 3):
+            s = rng.randrange(p)
+            a = rng.randrange(1, p)
+            if deg == 1:
+                g = ((-s) % p, 1)
+            elif deg == 2:
+                while pow(a, (p - 1) // 2, p) == 1:
+                    a = rng.randrange(1, p)
+                g = ((s * s - a) % p, -2 * s % p, 1)
+            else:
+                while pow(a, (p - 1) // 3, p) == 1:
+                    a = rng.randrange(1, p)
+                g = ((-s ** 3 - a) % p, 3 * s * s % p, -3 * s % p, 1)
+            factors.add(g)
+        f = (1,)
+        for g in factors:
+            f = _mul(f, g, p)
+        got = repthy._factor_modp(list(f), p)
+        assert sorted(map(tuple, got)) == sorted(factors)
 
 
 # -- reference radical certificate: a full rank computation per product --
