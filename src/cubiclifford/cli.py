@@ -14,23 +14,22 @@ import json
 import os
 import sys
 
-from .center import (center_relation_residue, centrality_report,
-                     central_elements, formal_discriminant_nc)
+from .center import center_relation_residue, centrality_report
 from .commgeo import (CentralPoint, CubicForm, central_point, delta_partials,
-                      discriminant_value, on_twisted_cubic, point_on_fiber,
-                      singular_locus_membership)
-from .disc import locus_profile, modified_gram_check, sample_locus, v_ell_membership
+                      discriminant_value, enumerate_center_fiber,
+                      on_twisted_cubic, point_on_fiber,
+                      singular_locus_membership, twisted_cubic_point)
+from .disc import locus_profile, sample_locus
 from .errors import CubicliffordError
 from .fields import make_field
 from .findim import build_quotient, check_unit_and_associativity, reduce_center_images
 from .freealg import clifford_relations, parse_poly
 from .pointmod import (PointTriple, abc_system_admits_solution,
-                       central_character_diagonal, gamma_invariants,
-                       predict_simple_quotient, proj_point, solve_next)
-from .repthy import (DIM2_MAX_P, full_gram, search_irreps_dim1,
-                     search_irreps_dim2)
+                       all_proj_points, central_character_diagonal,
+                       gamma_invariants, predict_simple_quotient, proj_point,
+                       solve_next)
+from .repthy import DIM2_MAX_P, search_irreps_dim1, search_irreps_dim2
 from .rewrite import complete, hilbert_oracle
-from .linalg import rank
 
 SCHEMA = 1
 
@@ -149,8 +148,7 @@ def cmd_singular_check(args):
 def cmd_quotient(args):
     field = make_field("prime", args.prime)
     pt = _parse_point(field, args.point)
-    bound = _env_default("QUOTIENT_BOUND", 16)
-    alg = build_quotient(field, pt, degree_bound=bound)
+    alg = build_quotient(field, pt)
     checks = {
         "unit_and_associativity": check_unit_and_associativity(alg),
         "center_images_match": [int(v) for v in reduce_center_images(alg)]
@@ -222,7 +220,7 @@ def cmd_disc_locus(args):
     field = make_field("prime", args.prime)
     ells = [int(v) for v in args.ell.split(",")]
     report = sample_locus(field, ells, n_per_stratum=args.samples,
-                          seed=args.seed, check_modified=True)
+                          seed=args.seed)
     payload = {"prime": args.prime, "seed": args.seed,
                "samples_per_stratum": args.samples,
                "report": {str(k): v for k, v in report.items()}}
@@ -246,7 +244,6 @@ def cmd_verify_all(args):
 
     partials = delta_partials(field)
     cubic_ok = True
-    from .commgeo import twisted_cubic_point
     for t in range(5):
         a, b, c, d = twisted_cubic_point(field, 1, t)
         cubic_ok = cubic_ok and all(
@@ -259,7 +256,6 @@ def cmd_verify_all(args):
     else:
         skipped.append("no_dim2_irreps")
 
-    from .commgeo import enumerate_center_fiber
     fiber = enumerate_center_fiber(field, 1, 0, 0, 1)
     prof = locus_profile(field, fiber[0], seed=args.seed)
     results["azumaya_dim9"] = prof.algebra.dim == 9
@@ -273,7 +269,6 @@ def cmd_verify_all(args):
         and profc.sum_squares == 3)
 
     triple_ok = True
-    from .pointmod import all_proj_points
     pts = all_proj_points(field)[:5]
     for p0 in pts:
         for p1 in pts:
@@ -284,8 +279,7 @@ def cmd_verify_all(args):
                     field, tri)
     results["point_variety"] = triple_ok
 
-    locus = sample_locus(field, [3, 5, 12], n_per_stratum=3, seed=args.seed,
-                         check_modified=True)
+    locus = sample_locus(field, [3, 5, 12], n_per_stratum=3, seed=args.seed)
     results["trichotomy"] = (
         all(v["members"] == 0 for v in locus[3].values())
         and locus[5]["cubic"]["members"] == 3

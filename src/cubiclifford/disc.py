@@ -1,25 +1,34 @@
 """Discriminant-ideal zero sets, evaluated pointwise at central maximal
 ideals, and the trichotomy over a stratified point sample.
 
-Membership of a point in the zero set of the ell-th (modified)
-discriminant ideal is decided two independent ways per verdict: the sum
-of squared irreducible dimensions must be < ell, and ell must exceed the
-full-basis Gram rank of the regular trace form.  The two criteria are
-required to agree; disagreement is surfaced, never patched over.
+Membership of a point in the zero set of the ell-th modified
+discriminant ideal MD_ell (Brown-Yakimov, Adv. Math. 340, 2018) is
+decided three independent ways, and the routes are required to agree;
+disagreement raises CriterionMismatch, it is never patched over:
+
+- the sum of squared irreducible dimensions (Wedderburn) is < ell;
+- ell exceeds the full-basis Gram rank of the regular trace form;
+- no explicit witness exists: for ell <= rank G, ell basis elements
+  y_i = b_r and y'_j = b_c at a nonsingular pivot minor of G give
+  det[tr(y_i y'_j)] != 0, rebuilt from products and traces rather than
+  read from G; for ell > rank G none can exist, since
+  rank(Y G Y'^T) <= rank G.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 
 from .commgeo import (CentralPoint, CubicForm, central_point,
                       discriminant_value, enumerate_center_fiber,
-                      twisted_cubic_point)
+                      on_twisted_cubic, twisted_cubic_point)
 from .errors import CriterionMismatch
 from .findim import FinDimAlgebra, build_quotient
-from .linalg import Matrix, det, rank
-from .repthy import BlockStructure, full_gram, wedderburn_blocks
+from .linalg import Matrix, det, rank, rref
+from .repthy import (BlockStructure, full_gram, trace_vector,
+                     wedderburn_blocks)
 
 
 @dataclass
@@ -68,25 +77,31 @@ def v_ell_membership(field, point: CentralPoint, ell: int,
                         gram_rank=prof.gram_rank, irrep_dims=prof.irrep_dims)
 
 
-def modified_gram_check(alg: FinDimAlgebra, ell: int, trials: int = 50,
-                        seed: int = 0) -> bool:
-    """Search seeded random ell-tuples (y_i), (y_j') for a nonzero
-    det[tr(y_i y_j')]; True iff one is found.  Agrees with the negation
-    of membership when the sampling finds a witness (rank >= ell)."""
+def modified_gram_check(alg: FinDimAlgebra, ell: int, seed: int = 0) -> bool:
+    """True iff some ell-tuples (y_i), (y'_j) give det[tr(y_i y'_j)] != 0,
+    i.e. the point is off the zero set of MD_ell.  Exact: False when ell
+    exceeds the Gram rank (no witness can exist), otherwise the witness
+    of basis elements at a nonsingular ell x ell minor of G, whose
+    determinant is recomputed from alg.mul_vec and the trace; a zero
+    determinant there raises CriterionMismatch.  ``seed`` is accepted for
+    older callers and ignored: nothing is drawn."""
     F = alg.field
-    p, dim = F.p, alg.dim
-    rng = random.Random(seed)
     G = _cached_gram(alg)
-    for _ in range(trials):
-        # randrange(p) is already a residue in [0, p)
-        Y = Matrix(F, [[rng.randrange(p) for _ in range(dim)]
-                       for _ in range(ell)])
-        Yp = Matrix(F, [[rng.randrange(p) for _ in range(dim)]
-                        for _ in range(ell)])
-        # tr(y y') is the Gram bilinear form, so the pair matrix is Y G Y'^T
-        if det(Y.mul(G).mul(Yp.transpose())) != F.zero:
-            return True
-    return False
+    _, g_rank, rows = rref(G.transpose())  # independent rows of G
+    if ell > g_rank:
+        return False
+    rows = rows[:ell]
+    cols = rref(Matrix(F, [G.entries[r] for r in rows]))[2]
+    basis, tv = alg.basis_vectors(), trace_vector(alg)
+    # tr(y y') is the coordinate vector of the product dotted with tv
+    pairs = Matrix(F, [
+        F.reduce_row([sum(map(mul, alg.mul_vec(basis[r], basis[c]), tv))
+                      for c in cols]) for r in rows])
+    if det(pairs) == F.zero:
+        raise CriterionMismatch(
+            f"the Gram minor at rows {rows}, columns {cols} is singular when "
+            f"rebuilt from products and traces (ell={ell})")
+    return True
 
 
 def _cached_gram(alg: FinDimAlgebra):
@@ -123,7 +138,6 @@ def sample_points(field, n_per_stratum: int = 20, seed: int = 0):
 
     degenerate = []  # D = 0 but off the twisted cubic
     guard = 0
-    from .commgeo import on_twisted_cubic
     while len(degenerate) < n_per_stratum and guard < 20000:
         guard += 1
         a, b, c, d = (rng.randrange(F.p) for _ in range(4))
@@ -139,11 +153,10 @@ def sample_points(field, n_per_stratum: int = 20, seed: int = 0):
     return {"cubic": cubic, "smooth": smooth, "degenerate": degenerate}
 
 
-def sample_locus(field, ells, n_per_stratum: int = 10, seed: int = 0,
-                 check_modified: bool = False, trials: int = 50):
-    """Membership counts per stratum for each ell; optionally also runs
-    the modified-Gram sampling and asserts agreement (with one reseed on
-    a failed witness search before reporting a mismatch)."""
+def sample_locus(field, ells, n_per_stratum: int = 10, seed: int = 0):
+    """Membership counts per stratum for each ell.  Every verdict is also
+    checked against the modified-Gram witness, and a disagreement raises
+    CriterionMismatch."""
     strata = sample_points(field, n_per_stratum, seed)
     profiles = {
         name: [locus_profile(field, pt, seed=seed) for pt in pts]
@@ -156,17 +169,10 @@ def sample_locus(field, ells, n_per_stratum: int = 10, seed: int = 0,
             members = 0
             for prof in profs:
                 verdict = v_ell_membership(field, prof.point, ell, prof)
-                if check_modified:
-                    found = modified_gram_check(prof.algebra, ell,
-                                                trials=trials, seed=seed)
-                    if not found and not verdict.member:
-                        found = modified_gram_check(prof.algebra, ell,
-                                                    trials=trials,
-                                                    seed=seed + 1)
-                    if found != (not verdict.member):
-                        raise CriterionMismatch(
-                            f"modified-Gram sampling disagrees at "
-                            f"{prof.point}, ell={ell}")
+                if modified_gram_check(prof.algebra, ell) == verdict.member:
+                    raise CriterionMismatch(
+                        f"modified-Gram witness disagrees at "
+                        f"{prof.point}, ell={ell}")
                 members += verdict.member
             per[name] = {"members": members, "total": len(profs)}
         report[ell] = per

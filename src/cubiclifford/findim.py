@@ -59,14 +59,14 @@ class FinDimAlgebra:
         return out
 
     def left_mult_matrix(self, v) -> Matrix:
+        cols = [self.mul_vec(v, e) for e in self.basis_vectors()]
+        return Matrix(self.field, cols).transpose()
+
+    def basis_vectors(self):
+        """Coordinate vectors of the basis elements (the identity rows)."""
         F = self.field
-        cols = []
-        for j in range(self.dim):
-            ej = [F.zero] * self.dim
-            ej[j] = F.one
-            cols.append(self.mul_vec(v, ej))
-        return Matrix(F, [[cols[j][i] for j in range(self.dim)]
-                          for i in range(self.dim)])
+        return [[F.one if i == j else F.zero for j in range(self.dim)]
+                for i in range(self.dim)]
 
     def unit_vector(self):
         F = self.field
@@ -161,15 +161,10 @@ def reduce_center_images(alg: FinDimAlgebra):
 def check_unit_and_associativity(alg: FinDimAlgebra):
     """Unit law, and associativity (e_i e_j) e_k = e_i (e_j e_k) on every
     triple of basis elements, with e_i e_j read from the table."""
-    F = alg.field
     dim = alg.dim
     table = alg.table
     unit = alg.unit_vector()
-    basis_vecs = []
-    for i in range(dim):
-        v = [F.zero] * dim
-        v[i] = F.one
-        basis_vecs.append(v)
+    basis_vecs = alg.basis_vectors()
     for v in basis_vecs:
         if alg.mul_vec(unit, v) != v or alg.mul_vec(v, unit) != v:
             return False

@@ -87,13 +87,7 @@ def gram_matrix(alg: FinDimAlgebra, elements) -> Matrix:
 
 
 def full_gram(alg: FinDimAlgebra) -> Matrix:
-    F = alg.field
-    basis = []
-    for i in range(alg.dim):
-        v = [F.zero] * alg.dim
-        v[i] = F.one
-        basis.append(v)
-    return gram_matrix(alg, basis)
+    return gram_matrix(alg, alg.basis_vectors())
 
 
 def radical(alg: FinDimAlgebra):
@@ -132,11 +126,7 @@ def _is_nilpotent_ideal(alg: FinDimAlgebra, K):
     F = alg.field
     R, rk, pivots = rref(Matrix(F, K))
     rows = R.entries[:rk]
-    basis_vecs = []
-    for i in range(alg.dim):
-        e = [F.zero] * alg.dim
-        e[i] = F.one
-        basis_vecs.append(e)
+    basis_vecs = alg.basis_vectors()
     for k in K:
         for e in basis_vecs:
             if any(_reduce_mod(F, rows, pivots, alg.mul_vec(e, k))):
@@ -202,12 +192,6 @@ class _Quotient:
             out.append(v)
         return out
 
-    def left_mult_matrix(self, u):
-        cols = [self.mul(u, e) for e in self.basis_vectors()]
-        return Matrix(self.field,
-                      [[cols[j][i] for j in range(self.dim)]
-                       for i in range(self.dim)])
-
     def center_basis(self):
         """Kernel of the commutator maps v -> v e_k - e_k v, all k."""
         F = self.field
@@ -241,19 +225,6 @@ def _pmul(a, b, p):
     return _ptrim(out)
 
 
-def _pmod(a, b, p):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv = pow(lb, p - 2, p)
-    while len(a) - 1 >= db and a:
-        da = len(a) - 1
-        c = a[-1] * inv % p
-        for i in range(db + 1):
-            a[da - db + i] = (a[da - db + i] - c * b[i]) % p
-        _ptrim(a)
-    return a
-
-
 def _pdivmod(a, b, p):
     a = list(a)
     q = [0] * max(1, len(a) - len(b) + 1)
@@ -269,22 +240,18 @@ def _pdivmod(a, b, p):
     return _ptrim(q), a
 
 
-def _pextgcd(a, b, p):
-    """(g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-        t0, t1 = t1, _psub(t0, _pmul(q, t1, p), p)
-    if r0:
-        inv = pow(r0[-1], p - 2, p)
-        r0 = [c * inv % p for c in r0]
-        s0 = [c * inv % p for c in s0]
-        t0 = [c * inv % p for c in t0]
-    return r0, s0, t0
+def _pmod(a, b, p):
+    return _pdivmod(a, b, p)[1]
+
+
+def _pgcd(a, b, p):
+    """Monic gcd of a and b."""
+    while b:
+        a, b = b, _pmod(a, b, p)
+    if a:
+        inv = pow(a[-1], p - 2, p)
+        a = [c * inv % p for c in a]
+    return a
 
 
 def _zip_pad(a, b):
@@ -322,7 +289,7 @@ def _factor_modp(coeffs, p):
     """
     f = [c % p for c in coeffs]
     deriv = _ptrim([i * c % p for i, c in enumerate(f)][1:])
-    if len(_pextgcd(f, deriv, p)[0]) != 1:
+    if len(_pgcd(f, deriv, p)) != 1:
         return None
     rng = random.Random(0)
     factors = []
@@ -330,7 +297,7 @@ def _factor_modp(coeffs, p):
     k = 1
     while 2 * k <= len(f) - 1:
         h = _ppowmod(h, p, f, p)
-        g = _pextgcd(f, _psub(h, [0, 1], p), p)[0]
+        g = _pgcd(f, _psub(h, [0, 1], p), p)
         if len(g) > 1:
             factors.extend(_split_equal_degree(g, k, p, rng))
             f = _pdivmod(f, g, p)[0]
@@ -348,7 +315,7 @@ def _split_equal_degree(g, k, p, rng):
     e = (p ** k - 1) // 2
     while True:
         t = _ptrim([rng.randrange(p) for _ in range(len(g) - 1)])
-        d = _pextgcd(g, _psub(_ppowmod(t, e, g, p), [1], p), p)[0]
+        d = _pgcd(g, _psub(_ppowmod(t, e, g, p), [1], p), p)
         if 1 < len(d) < len(g):
             return (_split_equal_degree(d, k, p, rng)
                     + _split_equal_degree(_pdivmod(g, d, p)[0], k, p, rng))
@@ -398,17 +365,18 @@ def wedderburn_blocks(alg: FinDimAlgebra, seed: int = 0,
         if factors is None:
             continue  # not squarefree: not a generator, reseed
         # m is squarefree, so its factors are pairwise coprime and each
-        # hi = m / mi has an inverse s modulo mi
+        # hi = m / mi is a unit of the field F_p[x]/(mi) of p^k elements,
+        # with inverse hi^(p^k - 2)
         blocks = []
         for mi in factors:
+            k = len(mi) - 1
             hi, _ = _pdivmod(m, mi, p)
-            _, s, _ = _pextgcd(hi, mi, p)
+            s = _ppowmod(hi, p ** k - 2, mi, p)
             ui = _pmod(_pmul(hi, s, p), m, p)
             e = _poly_eval_alg(quot, ui, v)
             # block = (A/rad) e: span of b_k e
             span = [quot.mul(b, e) for b in quot.basis_vectors()]
             bdim = rank(Matrix(F, span))
-            k = len(mi) - 1
             n2 = bdim // k
             n = math.isqrt(n2)
             if n * n * k != bdim:

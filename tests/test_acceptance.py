@@ -183,7 +183,7 @@ def test_criterion_09_simple_quotients(capsys, f13):
 
 def test_criterion_10_discriminant_trichotomy(capsys, f13):
     rep = sample_locus(f13, ells=list(range(1, 13)), n_per_stratum=5,
-                       seed=7, check_modified=True, trials=40)
+                       seed=7)
     ok = True
     for ell, per in rep.items():
         for name, r in per.items():
@@ -193,7 +193,7 @@ def test_criterion_10_discriminant_trichotomy(capsys, f13):
     report(capsys, 10, ok,
            "zero sets of the modified discriminant ideals: empty for ell<=3,"
            " the singular stratum for 4<=ell<=9, everything for ell>9; both "
-           "membership criteria and the modified-Gram sampling agree")
+           "membership criteria and the modified-Gram witness agree")
 
 
 def test_criterion_11_cli_determinism(capsys):

@@ -1,9 +1,75 @@
+import random
+from operator import mul
+
 import pytest
 
+from cubiclifford import disc
 from cubiclifford.commgeo import central_point, enumerate_center_fiber
-from cubiclifford.disc import (locus_profile, modified_gram_check,
-                               sample_locus, sample_points, v_ell_membership)
+from cubiclifford.disc import (_cached_gram, locus_profile,
+                               modified_gram_check, sample_locus,
+                               sample_points, v_ell_membership)
 from cubiclifford.errors import CriterionMismatch
+from cubiclifford.findim import build_quotient
+from cubiclifford.linalg import Matrix, det
+
+
+def _randrange(rng, p, n):
+    """n successive values of rng.randrange(p), drawn the way CPython's
+    randrange draws them (rejection sampling on getrandbits of p's bit
+    length) without its per-call argument handling; the pinned witness
+    counts below fail if the sequence ever differs."""
+    k, bits = p.bit_length(), rng.getrandbits
+    out = []
+    while len(out) < n:
+        r = bits(k)
+        if r < p:
+            out.append(r)
+    return out
+
+
+def _extend_echelon(echelon, row, p):
+    """Reduce row against the echelon rows (pivot column, row with a 1
+    there) and append it; False, leaving echelon as it was, if it reduces
+    to zero, i.e. depends on the rows before it."""
+    for pc, e in echelon:
+        f = row[pc]
+        if f:
+            row = [(a - f * b) % p for a, b in zip(row, e)]
+    pc = next((j for j, a in enumerate(row) if a), None)
+    if pc is None:
+        return False
+    inv = pow(row[pc], p - 2, p)
+    echelon.append((pc, [a * inv % p for a in row]))
+    return True
+
+
+def random_gram_search(alg, ell, trials=50, seed=0):
+    """Oracle, the library's former witness search: search seeded random
+    ell-tuples (y_i), (y_j') for a nonzero det[tr(y_i y_j')]; True iff
+    one is found within the trial budget.
+
+    tr(y y') is the Gram bilinear form, so the pair matrix is Y G Y'^T.
+    Its rank is at most that of Y G, so a trial stops at the first row of
+    Y G that depends on the rows before it.  Every trial draws all of Y,
+    then all of Y', wherever it stops."""
+    F = alg.field
+    p, dim = F.p, alg.dim
+    rng = random.Random(seed)
+    gcols = list(zip(*_cached_gram(alg).entries))
+    for _ in range(trials):
+        Y = [_randrange(rng, p, dim) for _ in range(ell)]
+        Yp = [_randrange(rng, p, dim) for _ in range(ell)]
+        YG, echelon = [], []
+        for y in Y:
+            YG.append([sum(map(mul, y, c)) % p for c in gcols])
+            if not _extend_echelon(echelon, YG[-1], p):
+                break
+        else:
+            pairs = Matrix(F, [F.reduce_row([sum(map(mul, r, yp))
+                                             for yp in Yp]) for r in YG])
+            if det(pairs) != F.zero:
+                return True
+    return False
 
 
 @pytest.fixture(scope="module")
@@ -78,11 +144,18 @@ def test_sample_locus_report(f13):
 
 
 def test_sample_locus_with_modified_gram(f13):
-    report = sample_locus(f13, ells=[2, 5, 11], n_per_stratum=2, seed=0,
-                          check_modified=True, trials=30)
+    report = sample_locus(f13, ells=[2, 5, 11], n_per_stratum=2, seed=0)
     assert report[2]["smooth"]["members"] == 0
     assert report[5]["cubic"]["members"] == 2
     assert report[11]["smooth"]["members"] == 2
+
+
+def test_sample_locus_always_checks_the_witness(f13, monkeypatch):
+    # every point is a member at ell = 12; a witness claimed there must
+    # surface as a mismatch
+    monkeypatch.setattr(disc, "modified_gram_check", lambda alg, ell: True)
+    with pytest.raises(CriterionMismatch):
+        sample_locus(f13, ells=[12], n_per_stratum=1, seed=0)
 
 
 def test_degenerate_stratum_behaves_like_smooth(f13):
@@ -104,7 +177,7 @@ def test_criterion_mismatch_is_raised_on_inconsistent_profile(f13,
 def _first_witness_trial(alg, ell, seed):
     """Smallest trial budget for which the witness search succeeds."""
     return next(t for t in range(1, 51)
-                if modified_gram_check(alg, ell, trials=t, seed=seed))
+                if random_gram_search(alg, ell, trials=t, seed=seed))
 
 
 def test_modified_gram_witness_draws_pinned(smooth_profile, cubic_profile):
@@ -116,3 +189,29 @@ def test_modified_gram_witness_draws_pinned(smooth_profile, cubic_profile):
     for prof, ell, expected in cases:
         assert [_first_witness_trial(prof.algebra, ell, seed)
                 for seed in range(10)] == expected
+
+
+def test_modified_gram_check_agrees_with_random_oracle(f13):
+    # every (fiber, ell) pair of acceptance criterion 10: the random
+    # search finds a witness wherever the exact check does, and none in
+    # 40 trials plus one reseed wherever it reports none
+    strata = sample_points(f13, n_per_stratum=5, seed=7)
+    for pt in [pt for pts in strata.values() for pt in pts]:
+        alg = build_quotient(f13, pt)
+        for ell in range(1, 13):
+            if modified_gram_check(alg, ell):
+                assert random_gram_search(alg, ell, trials=40, seed=7)
+            else:
+                assert not random_gram_search(alg, ell, trials=40, seed=7)
+                assert not random_gram_search(alg, ell, trials=40, seed=8)
+
+
+def test_modified_gram_check_rejects_overstated_gram(cubic_profile,
+                                                     monkeypatch):
+    # the cubic fiber's G has rank 3; an identity in its place claims a
+    # witness at ell = 4, and the rebuilt 4 x 4 determinant refutes it
+    alg = cubic_profile.algebra
+    monkeypatch.setattr(alg, "_full_gram", Matrix.identity(alg.field,
+                                                           alg.dim))
+    with pytest.raises(CriterionMismatch):
+        modified_gram_check(alg, 4)
