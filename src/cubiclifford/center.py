@@ -111,7 +111,3 @@ def center_relation_residue(system, field) -> NcPoly:
             .sub(z.z5.mul(z.z5).mul(z.z5))
             .add(delta.scale(F.of(27))))
     return system.normal_form(expr)
-
-
-def verify_center_relation(system, field) -> bool:
-    return center_relation_residue(system, field).is_zero()

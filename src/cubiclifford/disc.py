@@ -57,24 +57,24 @@ def locus_profile(field, point: CentralPoint, seed: int = 0) -> LocusProfile:
     alg = build_quotient(field, point)
     blocks = wedderburn_blocks(alg, seed=seed)
     dims = tuple(blocks.irrep_dims())
-    g_rank = rank(_cached_gram(alg))
+    g_rank = rank(full_gram(alg))
     return LocusProfile(point, alg, dims, g_rank, sum(d * d for d in dims),
                         blocks)
 
 
 def v_ell_membership(field, point: CentralPoint, ell: int,
-                     profile: LocusProfile | None = None) -> LocusVerdict:
+                     profile: LocusProfile) -> LocusVerdict:
     if ell < 1:
         raise ValueError("ell must be positive")
-    prof = profile or locus_profile(field, point)
-    by_dims = prof.sum_squares < ell
-    by_rank = ell > prof.gram_rank
+    by_dims = profile.sum_squares < ell
+    by_rank = ell > profile.gram_rank
     if by_dims != by_rank:
         raise CriterionMismatch(
             f"irrep-sum criterion ({by_dims}) disagrees with Gram-rank "
             f"criterion ({by_rank}) at {point} for ell={ell}")
     return LocusVerdict(point=point, ell=ell, member=by_dims,
-                        gram_rank=prof.gram_rank, irrep_dims=prof.irrep_dims)
+                        gram_rank=profile.gram_rank,
+                        irrep_dims=profile.irrep_dims)
 
 
 def modified_gram_check(alg: FinDimAlgebra, ell: int, seed: int = 0) -> bool:
@@ -86,7 +86,7 @@ def modified_gram_check(alg: FinDimAlgebra, ell: int, seed: int = 0) -> bool:
     determinant there raises CriterionMismatch.  ``seed`` is accepted for
     older callers and ignored: nothing is drawn."""
     F = alg.field
-    G = _cached_gram(alg)
+    G = full_gram(alg)
     _, g_rank, rows = rref(G.transpose())  # independent rows of G
     if ell > g_rank:
         return False
@@ -102,14 +102,6 @@ def modified_gram_check(alg: FinDimAlgebra, ell: int, seed: int = 0) -> bool:
             f"the Gram minor at rows {rows}, columns {cols} is singular when "
             f"rebuilt from products and traces (ell={ell})")
     return True
-
-
-def _cached_gram(alg: FinDimAlgebra):
-    g = getattr(alg, "_full_gram", None)
-    if g is None:
-        g = full_gram(alg)
-        alg._full_gram = g
-    return g
 
 
 def sample_points(field, n_per_stratum: int = 20, seed: int = 0):

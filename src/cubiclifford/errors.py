@@ -29,10 +29,6 @@ class DegreeOutOfRange(CubicliffordError):
     pass
 
 
-class OrderFailure(CubicliffordError):
-    pass
-
-
 class BudgetExceeded(CubicliffordError):
     pass
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .center import central_elements
 from .commgeo import CentralPoint
 from .errors import NotFiniteDimensional, NotScalar, ZeroAlgebra
-from .freealg import NcPoly, WordOrder, cubic_form_relations
+from .freealg import NcPoly, cubic_form_relations
 from .linalg import Matrix
 from .rewrite import complete
 
@@ -96,28 +96,31 @@ def quotient_relations(field, point: CentralPoint):
     return rels
 
 
-def build_quotient(field, point: CentralPoint, degree_bound: int = 16,
-                   order: WordOrder | None = None) -> FinDimAlgebra:
+#: Completion bound for the quotient presentations.
+DEGREE_BOUND = 16
+
+
+def build_quotient(field, point: CentralPoint) -> FinDimAlgebra:
     """Complete the quotient presentation and materialize the algebra.
 
     Raises ZeroAlgebra when 1 reduces to 0 (the point violates the fiber
     equation) and NotFiniteDimensional when normal words persist at every
-    degree up to the bound.
+    degree up to ``DEGREE_BOUND``.
     """
     rels = quotient_relations(field, point)
-    system = complete(rels, order=order, degree_bound=degree_bound)
+    system = complete(rels, degree_bound=DEGREE_BOUND)
     if system.inconsistent:
         raise ZeroAlgebra("1 lies in the ideal: inconsistent central point")
 
     basis = []
-    for n in range(degree_bound + 1):
+    for n in range(DEGREE_BOUND + 1):
         words = system.basis_words(n)
         if not words:
             break
         basis.extend(words)
     else:
         raise NotFiniteDimensional(
-            f"normal words persist at degree {degree_bound}")
+            f"normal words persist at degree {DEGREE_BOUND}")
 
     alg = FinDimAlgebra(field, system, basis, None)
     F = field

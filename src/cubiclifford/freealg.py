@@ -42,9 +42,6 @@ class WordOrder:
     def decode(self, encoded: str) -> str:
         return encoded.translate(self._untrans)
 
-    def descriptor(self) -> str:
-        return f"graded-lex, {self.big_letter} largest"
-
     def __eq__(self, other):
         return isinstance(other, WordOrder) and other.big_letter == self.big_letter
 
@@ -190,10 +187,6 @@ def parse_poly(field, text: str) -> NcPoly:
         w = "" if word == "1" else word
         out = out.add(NcPoly.word(F, w, c))
     return out
-
-
-def multiply(p: NcPoly, q: NcPoly) -> NcPoly:
-    return p.mul(q)
 
 
 def commutator(p: NcPoly, q: NcPoly) -> NcPoly:

@@ -36,9 +36,6 @@ class Matrix:
             m.entries[i][i] = field.one
         return m
 
-    def copy(self):
-        return Matrix(self.field, self.entries)
-
     def transpose(self):
         return Matrix(self.field, [[self.entries[i][j] for i in range(self.rows)]
                                    for j in range(self.cols)])

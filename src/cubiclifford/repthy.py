@@ -87,7 +87,12 @@ def gram_matrix(alg: FinDimAlgebra, elements) -> Matrix:
 
 
 def full_gram(alg: FinDimAlgebra) -> Matrix:
-    return gram_matrix(alg, alg.basis_vectors())
+    """Gram matrix of the whole basis, built once per algebra and kept on
+    it as ``alg._full_gram``."""
+    g = getattr(alg, "_full_gram", None)
+    if g is None:
+        g = alg._full_gram = gram_matrix(alg, alg.basis_vectors())
+    return g
 
 
 def radical(alg: FinDimAlgebra):
@@ -342,10 +347,14 @@ def _min_poly(quot: _Quotient, v):
     return [int(c) for c in coeffs]
 
 
-def wedderburn_blocks(alg: FinDimAlgebra, seed: int = 0,
-                      retries: int = 40) -> BlockStructure:
-    """Radical, then split A/rad by the primitive idempotents of its
-    center, found from a seeded random generating central element."""
+#: Random central elements ``wedderburn_blocks`` tries before it gives up
+#: on finding one that generates the center of A/rad.
+SPLIT_ATTEMPTS = 40
+
+
+def wedderburn_blocks(alg: FinDimAlgebra, seed: int = 0) -> BlockStructure:
+    """Radical, then split A/rad into the blocks of its center, found from
+    a seeded random generating central element v."""
     F = alg.field
     p = F.p
     rad = radical(alg)
@@ -353,7 +362,7 @@ def wedderburn_blocks(alg: FinDimAlgebra, seed: int = 0,
     zbasis = quot.center_basis()
     zdim = len(zbasis)
     rng = random.Random(seed)
-    for _ in range(retries):
+    for _ in range(SPLIT_ATTEMPTS):
         v = [F.zero] * quot.dim
         for zb in zbasis:
             c = rng.randrange(p)
@@ -364,17 +373,14 @@ def wedderburn_blocks(alg: FinDimAlgebra, seed: int = 0,
         factors = _factor_modp(m, p)
         if factors is None:
             continue  # not squarefree: not a generator, reseed
-        # m is squarefree, so its factors are pairwise coprime and each
-        # hi = m / mi is a unit of the field F_p[x]/(mi) of p^k elements,
-        # with inverse hi^(p^k - 2)
+        # m is squarefree, so k[v] = (+)_j F_p[x]/(mj) with pairwise
+        # coprime mj, and hi = m / mi is 0 in every summand but the i-th,
+        # where it is a unit: (A/rad) hi(v) is the i-th block
         blocks = []
         for mi in factors:
             k = len(mi) - 1
             hi, _ = _pdivmod(m, mi, p)
-            s = _ppowmod(hi, p ** k - 2, mi, p)
-            ui = _pmod(_pmul(hi, s, p), m, p)
-            e = _poly_eval_alg(quot, ui, v)
-            # block = (A/rad) e: span of b_k e
+            e = _poly_eval_alg(quot, hi, v)
             span = [quot.mul(b, e) for b in quot.basis_vectors()]
             bdim = rank(Matrix(F, span))
             n2 = bdim // k
@@ -416,7 +422,7 @@ def dim2_x_forms(field):
     return [(a, 0, 0, a * w % p) for a in range(1, p)] + [(0, 1, 0, 0)]
 
 
-def search_irreps_dim2(field, max_p: int = DIM2_MAX_P):
+def search_irreps_dim2(field):
     """Exhaustive search for 2-dimensional irreducible representations.
 
     x-images are taken in canonical form up to conjugacy:
@@ -432,10 +438,10 @@ def search_irreps_dim2(field, max_p: int = DIM2_MAX_P):
     diagnostic.
     """
     p = field.p
-    if p > max_p:
+    if p > DIM2_MAX_P:
         raise FieldTooLarge(
             f"the dim-2 search sweeps p * p^4 candidates and is capped at "
-            f"p <= {max_p}; got p = {p}")
+            f"p <= {DIM2_MAX_P}; got p = {p}")
     xforms = dim2_x_forms(field)
     irreducible = []
     reducible_count = 0

@@ -172,117 +172,98 @@ def _orient(system: RewriteSystem, red: dict):
     return lead, tail
 
 
+#: Completion raises BudgetExceeded when it holds more rules than this, or
+#: after ten times as many queue pops.
+RULE_BUDGET = 20000
+
+
 def complete(relations, order: WordOrder | None = None, degree_bound: int = 13,
-             rule_budget: int = 20000, field=None) -> RewriteSystem:
+             field=None) -> RewriteSystem:
     """Complete a list of NcPoly relations up to ``degree_bound``.
 
-    All overlap ambiguities among rule leads of total degree <= bound are
-    resolved; irreducible S-polynomials become new rules.  Returns the
-    system with ``confluent_to = degree_bound``.  If a nonzero scalar
-    enters the ideal the system is flagged ``inconsistent`` (the quotient
-    is the zero ring) and completion stops.
+    One heap, ordered by (degree, insertion), holds every polynomial still
+    to be reduced: the input relations, the rules a new lead retires (as
+    lead - tail), and the S-polynomial of each lead overlap of degree
+    <= bound.  A popped polynomial that does not reduce to zero becomes a
+    rule; its overlaps with every rule are queued once each, and its
+    overlap with itself in one orientation.  When the heap is empty every
+    overlap ambiguity within the bound resolves, so the system is
+    confluent there (Bergman's diamond lemma) and each tail has a unique
+    normal form: a single reduction of every tail against the final rules
+    makes the system canonical.  Returns the system with
+    ``confluent_to = degree_bound``.  If a nonzero scalar enters the ideal
+    the system is flagged ``inconsistent`` (the quotient is the zero ring)
+    and completion stops.
     """
     order = order or WordOrder()
     if field is None:
         if not relations:
             raise ValueError("need a field when no relations are given")
         field = relations[0].field
-    system = RewriteSystem(field, order, degree_bound)
+    F = field
+    system = RewriteSystem(F, order, degree_bound)
     enc = order.encode
-
-    pending = []  # polynomials (encoded dicts) awaiting orientation
-    counter = itertools.count()
+    queue = []  # heap of (degree, tiebreak, encoded term dict)
+    tiebreak = itertools.count()
     for rel in relations:
-        if rel.is_zero():
-            continue
-        pending.append({enc(w): c for w, c in rel.terms.items()})
+        if not rel.is_zero():
+            heapq.heappush(queue, (rel.degree(), next(tiebreak),
+                                   {enc(w): c for w, c in rel.terms.items()}))
 
-    overlaps = []  # heap of (degree, tiebreak, spoly encoded dict)
-
-    def queue_overlaps(new_lead, new_tail):
-        for lead2, tail2 in list(system._rules) + [(new_lead, new_tail)]:
-            for l1, t1, l2, t2 in ((new_lead, new_tail, lead2, tail2),
-                                   (lead2, tail2, new_lead, new_tail)):
-                # w = l1 + l2[k:] with proper overlap of length k
-                for k in range(1, min(len(l1), len(l2))):
-                    if not l1.endswith(l2[:k]):
-                        continue
-                    w = l1 + l2[k:]
-                    if len(w) > degree_bound:
-                        continue
-                    suffix = l2[k:]
-                    prefix = l1[: len(l1) - k]
-                    spoly = {}
-                    F = system.field
-                    for tw, tc in t1.items():
-                        _acc(spoly, tw + suffix, tc, F)
-                    for tw, tc in t2.items():
-                        _acc(spoly, prefix + tw, F.neg(tc), F)
-                    if spoly:
-                        heapq.heappush(overlaps, (len(w), next(counter), spoly))
-
-    def add_rule_from(red: dict) -> bool:
-        """Orient a reduced dict into a rule; returns False on scalar hit."""
+    pops = 0
+    while queue:
+        pops += 1
+        if pops > RULE_BUDGET * 10:
+            raise BudgetExceeded("completion did not settle within budget")
+        red = system._reduce_enc(heapq.heappop(queue)[2])
         if not red:
-            return True
+            continue
         lead, tail = _orient(system, red)
         if lead == "":
             system.inconsistent = True
-            return False
-        # retire rules whose lead contains the new lead; reprocess them
-        retired = []
-        kept = []
-        for l2, t2 in system._rules:
-            if lead in l2:
-                retired.append((l2, t2))
-            else:
-                kept.append((l2, t2))
-        system._rules = kept
-        system._rules.append((lead, tail))
-        system._rebuild()
-        if len(system._rules) > rule_budget:
-            raise BudgetExceeded("rule budget exhausted")
-        queue_overlaps(lead, tail)
-        F = system.field
-        for l2, t2 in retired:
-            poly = dict(t2)
-            _acc(poly, l2, F.neg(F.one), F)
-            # l2 - t2... rule poly is l2 - tail; rebuild with sign: lead coeff 1
-            poly = {w: F.neg(c) for w, c in poly.items()}
-            pending.append(poly)
-        return True
-
-    guard = 0
-    while pending or overlaps:
-        guard += 1
-        if guard > rule_budget * 10:
-            raise BudgetExceeded("completion did not settle within budget")
-        if pending:
-            raw = pending.pop(0)
-        else:
-            _, _, raw = heapq.heappop(overlaps)
-        red = system._reduce_enc(raw)
-        if not red:
-            continue
-        if not add_rule_from(red):
             break
+        retired = [rule for rule in system._rules if lead in rule[0]]
+        system._rules = [rule for rule in system._rules
+                         if lead not in rule[0]] + [(lead, tail)]
+        system._rebuild()
+        if len(system._rules) > RULE_BUDGET:
+            raise BudgetExceeded("rule budget exhausted")
+        for l2, t2 in system._rules:
+            orientations = [(lead, tail, l2, t2), (l2, t2, lead, tail)]
+            for pair in orientations[: 1 if l2 == lead else 2]:
+                for deg, spoly in _overlaps(*pair, degree_bound, F):
+                    heapq.heappush(queue, (deg, next(tiebreak), spoly))
+        for l2, t2 in retired:
+            poly = {w: F.neg(c) for w, c in t2.items()}
+            poly[l2] = F.one
+            heapq.heappush(queue, (len(l2), next(tiebreak), poly))
 
-    # canonical pass: reduce every tail against the final rule set
     if not system.inconsistent:
-        changed = True
-        while changed:
-            changed = False
-            for i, (lead, tail) in enumerate(list(system._rules)):
-                others = tuple(r for r in system._enc_rules if r[0] != lead)
-                red = _reduce_generic(tail, others, system.field)
-                if red != tail:
-                    system._rules[i] = (lead, red)
-                    changed = True
-            if changed:
-                system._rebuild()
-
+        system._rules = [(lead, _reduce_generic(tail, system._enc_rules, F))
+                         for lead, tail in system._rules]
+        system._rebuild()
     system.confluent_to = degree_bound
     return system
+
+
+def _overlaps(l1, t1, l2, t2, degree_bound, F):
+    """(degree, S-polynomial) for each proper overlap w = l1 + l2[k:] of
+    the rules l1 -> t1 and l2 -> t2 with len(w) <= degree_bound: the
+    difference t1 l2[k:] - l1[:-k] t2 of the two one-step rewrites of w,
+    skipped when it is zero."""
+    for k in range(1, min(len(l1), len(l2))):
+        if not l1.endswith(l2[:k]):
+            continue
+        suffix, prefix = l2[k:], l1[: len(l1) - k]
+        if len(l1) + len(suffix) > degree_bound:
+            continue
+        spoly = {}
+        for tw, tc in t1.items():
+            _acc(spoly, tw + suffix, tc, F)
+        for tw, tc in t2.items():
+            _acc(spoly, prefix + tw, F.neg(tc), F)
+        if spoly:
+            yield len(l1) + len(suffix), spoly
 
 
 def _acc(d, w, c, field):

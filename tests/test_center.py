@@ -2,7 +2,7 @@ import pytest
 
 from cubiclifford.center import (center_relation_residue, central_elements,
                                  centrality_report, formal_discriminant_nc,
-                                 verify_center_relation, verify_centrality)
+                                 verify_centrality)
 from cubiclifford.errors import NoOmega
 from cubiclifford.freealg import NcPoly
 
@@ -66,7 +66,7 @@ def test_formal_discriminant_commutes_with_x(system13, f13):
 @pytest.mark.parametrize("fixture", ["system13", "system31"])
 def test_center_relation(fixture, request):
     system = request.getfixturevalue(fixture)
-    assert verify_center_relation(system, system.field)
+    assert center_relation_residue(system, system.field).is_zero()
 
 
 def test_center_relation_needs_the_discriminant_term(system13, f13):

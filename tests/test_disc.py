@@ -5,12 +5,12 @@ import pytest
 
 from cubiclifford import disc
 from cubiclifford.commgeo import central_point, enumerate_center_fiber
-from cubiclifford.disc import (_cached_gram, locus_profile,
-                               modified_gram_check, sample_locus,
-                               sample_points, v_ell_membership)
+from cubiclifford.disc import (locus_profile, modified_gram_check,
+                               sample_locus, sample_points, v_ell_membership)
 from cubiclifford.errors import CriterionMismatch
 from cubiclifford.findim import build_quotient
 from cubiclifford.linalg import Matrix, det
+from cubiclifford.repthy import full_gram
 
 
 def _randrange(rng, p, n):
@@ -55,7 +55,7 @@ def random_gram_search(alg, ell, trials=50, seed=0):
     F = alg.field
     p, dim = F.p, alg.dim
     rng = random.Random(seed)
-    gcols = list(zip(*_cached_gram(alg).entries))
+    gcols = list(zip(*full_gram(alg).entries))
     for _ in range(trials):
         Y = [_randrange(rng, p, dim) for _ in range(ell)]
         Yp = [_randrange(rng, p, dim) for _ in range(ell)]

@@ -4,7 +4,7 @@ import pytest
 
 from cubiclifford.errors import FieldMismatch
 from cubiclifford.freealg import (NcPoly, clifford_relations, commutator,
-                                  cubic_form_relations, multiply, parse_poly)
+                                  cubic_form_relations, parse_poly)
 
 
 def x(F):
@@ -16,7 +16,7 @@ def y(F):
 
 
 def test_word_product(f13):
-    assert multiply(x(f13), y(f13)).terms == {"xy": 1}
+    assert x(f13).mul(y(f13)).terms == {"xy": 1}
 
 
 def test_square_of_sum_expands(f13):

@@ -1,11 +1,14 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and every
+name the library defines is used somewhere in the repository."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cubiclifford"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cubiclifford"
 
 
 def unused_imports(source):
@@ -43,3 +46,64 @@ def test_scanner_flags_unused_names():
               "from __future__ import annotations\n__all__ = ['c']\n"
               "print(osp.join)\n")
     assert unused_imports(source) == [(1, "os"), (3, "b")]
+
+
+def defined_names(source):
+    """Module-level functions and classes, and the non-dunder methods of
+    those classes, as (qualified name, name)."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            out.extend((f"{node.name}.{item.name}", item.name)
+                       for item in node.body
+                       if isinstance(item, ast.FunctionDef)
+                       and not (item.name.startswith("__")
+                                and item.name.endswith("__")))
+    return out
+
+
+def referenced_names(source):
+    """Names a module loads, attributes it reads, names it imports, and
+    the parts of dotted-name strings (as in ``getattr`` or the
+    benchmark's trace targets)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"[A-Za-z_][\w.]*", node.value)):
+            out.update(node.value.split("."))
+    return out
+
+
+def unreferenced_definitions(defining, referencing):
+    """(module, qualified name) of every name defined in the ``defining``
+    sources that none of the ``referencing`` sources uses."""
+    used = set().union(*map(referenced_names, referencing.values()))
+    return sorted((module, qual)
+                  for module, source in defining.items()
+                  for qual, name in defined_names(source)
+                  if name not in used)
+
+
+def test_every_library_name_is_referenced():
+    sources = {path.relative_to(ROOT).as_posix(): path.read_text()
+               for folder in ("src", "tests", "perfbench")
+               for path in sorted((ROOT / folder).rglob("*.py"))}
+    library = {m: s for m, s in sources.items() if m.startswith("src/")}
+    assert unreferenced_definitions(library, sources) == []
+
+
+def test_scanner_flags_unreferenced_definitions():
+    lib = ("class A:\n    def used(self): pass\n    def dead(self): pass\n"
+           "    def __len__(self): return 0\n"
+           "def traced(): pass\ndef orphan(): pass\nclass Gone: pass\n")
+    user = "A().used()\nTARGETS = ('mod.traced',)\n"
+    assert unreferenced_definitions({"lib": lib}, {"lib": lib, "user": user}) \
+        == [("lib", "A.dead"), ("lib", "Gone"), ("lib", "orphan")]

@@ -1,9 +1,15 @@
+import hashlib
+import json
 import random
 
 import pytest
 
-from cubiclifford.errors import DegreeOutOfRange
+from cubiclifford import rewrite
+from cubiclifford.commgeo import central_point
+from cubiclifford.errors import BudgetExceeded, DegreeOutOfRange
 from cubiclifford.fields import make_field
+from cubiclifford.findim import (DEGREE_BOUND, build_quotient,
+                                 quotient_relations)
 from cubiclifford.freealg import NcPoly, WordOrder, clifford_relations, commutator
 from cubiclifford.rewrite import _reduce_generic, complete, hilbert_oracle
 
@@ -283,3 +289,97 @@ def test_completion_dump_is_pinned(kind, p, relations, bound, dump):
     field = make_field(kind, p)
     system = complete(relations(field), degree_bound=bound)
     assert system.dump() == dump
+
+
+# build_quotient(F_13, point): the completed quotient presentation's dump
+# and the sha256 of its structure table as compact sorted-key JSON, recorded
+# before completion moved to a single degree-ordered queue
+PINNED_QUOTIENTS = [
+    ((7, 2, 5, 7, 3, 12), 9, "cb65a04c8067c3336e447f8fd56fc7c1"
+     "067b66d0532fa111fad21285e8520f4b", """\
+yyy -> 7*1
+yxx -> 2*yxy + 2*yyx + 2*xx + 4*xy + 4*yx + 8*yy + 2*x + 9*y + 8*1
+xyy -> 12*yxy + 12*yyx + 2*1
+xyx -> 11*yxy + 9*yyx + 1*xx + 3*xy + 3*yx + 4*yy + 8*y + 6*1
+xxy -> 2*yyx + 10*xx + 6*xy + 6*yx + 1*yy + 11*x + 9*y + 5*1
+xxx -> 7*1
+yyxy -> 11*yxy + 1*yyx + 8*xx + 6*xy + 12*yx + 9*yy + 5*x + 6*y + 5*1"""),
+    ((0, 12, 3, 3, 12, 9), 9, "8dc74387cd1c2d352f1a0b25ac963d42"
+     "1f4c174190a7bb05288599ebeb477051", """\
+yyy -> 3*1
+yxx -> 3*yxy + 11*yyx + 11*xx + 4*xy + 4*yx + 12*yy + 8*x + 3*y + 9*1
+xyy -> 12*yxy + 12*yyx + 9*1
+xyx -> 2*yxy + 7*yyx + 9*xx + 4*xy + 4*yx + 10*yy + 9*y + 11*1
+xxy -> 8*yxy + 8*yyx + 6*xx + 5*xy + 5*yx + 4*yy + 5*x + 1*y + 3*1
+xxx -> 0
+yyxy -> 2*yxy + 9*yyx + 1*xx + 6*xy + 10*yx + 6*yy + 2*x + 2*y + 6*1"""),
+    ((1, 1, 1, 1, 0, 0), 15, "18c2de2a9f1b426ba62753c04b40021c"
+     "accbffc55f233f639590c10e8c6cc473", """\
+yyy -> 1*1
+xyy -> 12*yxy + 12*yyx + 3*1
+xxy -> 12*xyx + 12*yxx + 3*1
+xxx -> 1*1
+xyxy -> 1*yyxx
+xyxx -> 12*yxyx + 1*yyxx + 12*yyxy + 1*x + 1*y"""),
+    ((0, 0, 0, 0, 0, 0), 17, "c7f746320134a39d88e614b52f082f12"
+     "f99da728847bf09b583b088041ea0870", """\
+yyy -> 0
+xyy -> 12*yxy + 12*yyx
+xxy -> 12*xyx + 12*yxx
+xxx -> 0
+xyxy -> 1*yyxx
+yyxyxx -> 0"""),
+]
+
+
+@pytest.mark.parametrize("coords,dim,digest,dump", PINNED_QUOTIENTS,
+                         ids=["smooth", "degenerate", "cubic", "origin"])
+def test_quotient_completion_is_pinned(f13, coords, dim, digest, dump):
+    alg = build_quotient(f13, central_point(f13, *coords))
+    table = json.dumps(alg.to_json_dict(), sort_keys=True,
+                       separators=(",", ":"))
+    assert alg.dim == dim
+    assert alg.system.dump() == dump
+    assert hashlib.sha256(table.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("coords,dump", [(c, d) for c, _, _, d
+                                         in PINNED_QUOTIENTS],
+                         ids=["smooth", "degenerate", "cubic", "origin"])
+def test_quotient_completion_ignores_relation_order(f13, coords, dump):
+    rels = quotient_relations(f13, central_point(f13, *coords))
+    for seed in range(10):
+        random.Random(seed).shuffle(rels)
+        assert complete(rels, degree_bound=DEGREE_BOUND).dump() == dump
+
+
+def test_smooth_quotient_build_reduces_less(f13, monkeypatch):
+    # every overlap queued once: 185 reductions (104 in completion, 81 for
+    # the structure table) where queueing overlaps with the new rule twice
+    # and its self-overlaps four times took 241
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return _reduce_generic(*args)
+
+    monkeypatch.setattr(rewrite, "_reduce_generic", counting)
+    build_quotient(f13, central_point(f13, *PINNED_QUOTIENTS[0][0]))
+    assert len(calls) < 241
+
+
+def test_completion_pop_guard_raises(f13, monkeypatch):
+    # with a budget of 1 the queue may be popped 10 times; the 11th copy
+    # of the relation is one pop too many
+    monkeypatch.setattr(rewrite, "RULE_BUDGET", 1)
+    rel = NcPoly(f13, {"xy": 1, "yx": 12})
+    complete([rel] * 10, degree_bound=4)
+    with pytest.raises(BudgetExceeded, match="did not settle"):
+        complete([rel] * 11, degree_bound=4)
+
+
+def test_completion_rule_budget_raises(f13, monkeypatch):
+    monkeypatch.setattr(rewrite, "RULE_BUDGET", 1)
+    with pytest.raises(BudgetExceeded, match="rule budget"):
+        complete([NcPoly.word(f13, "xx"), NcPoly.word(f13, "yy")],
+                 degree_bound=4)
