@@ -15,7 +15,7 @@ import os
 import sys
 
 from .center import center_relation_residue, centrality_report
-from .commgeo import (CentralPoint, CubicForm, central_point, delta_partials,
+from .commgeo import (CentralPoint, central_point, delta_partials,
                       discriminant_value, enumerate_center_fiber,
                       on_twisted_cubic, point_on_fiber,
                       singular_locus_membership, twisted_cubic_point)
@@ -34,9 +34,15 @@ from .rewrite import complete, hilbert_oracle
 SCHEMA = 1
 
 
-def _env_default(name, fallback, cast=int):
+def _env_default(name, fallback):
     raw = os.environ.get(f"CUBICLIFFORD_{name}")
-    return cast(raw) if raw is not None else fallback
+    if raw is None:
+        return fallback
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"CUBICLIFFORD_{name} must be an integer, "
+                         f"got {raw!r}") from None
 
 
 def _add_common(sub):
@@ -135,8 +141,8 @@ def cmd_singular_check(args):
     payload = {
         "prime": args.prime,
         "point": [int(v) for v in pt.coords()],
-        "discriminant": int(discriminant_value(
-            field, CubicForm(pt.a, pt.b, pt.c, pt.d))),
+        "discriminant": int(discriminant_value(field, pt.a, pt.b, pt.c,
+                                               pt.d)),
         "partials": vals,
         "on_twisted_cubic": on_twisted_cubic(field, pt.a, pt.b, pt.c, pt.d),
         "on_fiber": point_on_fiber(field, pt),
@@ -158,8 +164,11 @@ def cmd_quotient(args):
                "dim": alg.dim, "basis": [w or "1" for w in alg.basis],
                "checks": checks}
     if args.dump:
-        with open(args.dump, "w") as fh:
-            json.dump(alg.to_json_dict(), fh, sort_keys=True)
+        try:
+            with open(args.dump, "w") as fh:
+                json.dump(alg.to_json_dict(), fh, sort_keys=True)
+        except OSError as exc:
+            raise ValueError(f"cannot write --dump: {exc}") from None
         payload["dumped_to"] = args.dump
     return _emit(args, payload, all(checks.values()))
 
@@ -329,9 +338,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CubicliffordError as exc:
         print(json.dumps({"schema": SCHEMA, "ok": False,

@@ -117,15 +117,6 @@ class CommPoly:
 
 
 @dataclass(frozen=True)
-class CubicForm:
-    """f = a u^3 + 3b u^2 v + 3c u v^2 + d v^3."""
-    a: object
-    b: object
-    c: object
-    d: object
-
-
-@dataclass(frozen=True)
 class CentralPoint:
     """A maximal ideal of the center: coordinates (a,b,c,d,e,f) of
     (z0,...,z5), subject to e^2 = f^3 - 27 D(a,b,c,d)."""
@@ -152,17 +143,17 @@ def central_point(field, a, b, c, d, e, f, check=True) -> CentralPoint:
 
 def point_on_fiber(field, pt: CentralPoint) -> bool:
     F = field
-    d_val = discriminant_value(F, CubicForm(pt.a, pt.b, pt.c, pt.d))
+    d_val = discriminant_value(F, pt.a, pt.b, pt.c, pt.d)
     lhs = F.mul(pt.e, pt.e)
     rhs = F.sub(F.mul(F.mul(pt.f, pt.f), pt.f), F.mul(F.of(27), d_val))
     return lhs == rhs
 
 
-def discriminant_value(field, form: CubicForm):
-    """D = (1/4)(ad - bc)^2 - (ac - b^2)(bd - c^2)."""
+def discriminant_value(field, a, b, c, d):
+    """D = (1/4)(ad - bc)^2 - (ac - b^2)(bd - c^2) of the binary cubic form
+    f = a u^3 + 3b u^2 v + 3c u v^2 + d v^3."""
     F = field
-    a, b, c, d = (F.of(v) if isinstance(v, int) else v
-                  for v in (form.a, form.b, form.c, form.d))
+    a, b, c, d = (F.of(v) if isinstance(v, int) else v for v in (a, b, c, d))
     s = F.sub(F.mul(a, d), F.mul(b, c))
     t = F.sub(F.mul(a, c), F.mul(b, b))
     u = F.sub(F.mul(b, d), F.mul(c, c))
@@ -245,8 +236,7 @@ def singular_locus_membership(field, pt: CentralPoint) -> bool:
 def enumerate_center_fiber(field, a, b, c, d):
     """All (e, f) in F_p^2 over a base point of A^4, as CentralPoints."""
     F = field
-    d_val = discriminant_value(F, CubicForm(*(F.of(v) if isinstance(v, int) else v
-                                              for v in (a, b, c, d))))
+    d_val = discriminant_value(F, a, b, c, d)
     # square roots table of F_p
     roots = {}
     for e in F.elements():

@@ -21,9 +21,9 @@ import random
 from dataclasses import dataclass
 from operator import mul
 
-from .commgeo import (CentralPoint, CubicForm, central_point,
-                      discriminant_value, enumerate_center_fiber,
-                      on_twisted_cubic, twisted_cubic_point)
+from .commgeo import (CentralPoint, central_point, discriminant_value,
+                      enumerate_center_fiber, on_twisted_cubic,
+                      twisted_cubic_point)
 from .errors import CriterionMismatch
 from .findim import FinDimAlgebra, build_quotient
 from .linalg import Matrix, det, rank, rref
@@ -58,7 +58,7 @@ def locus_profile(field, point: CentralPoint, seed: int = 0) -> LocusProfile:
     blocks = wedderburn_blocks(alg, seed=seed)
     dims = tuple(blocks.irrep_dims())
     g_rank = rank(full_gram(alg))
-    return LocusProfile(point, alg, dims, g_rank, sum(d * d for d in dims),
+    return LocusProfile(point, alg, dims, g_rank, blocks.sum_squares(),
                         blocks)
 
 
@@ -121,7 +121,7 @@ def sample_points(field, n_per_stratum: int = 20, seed: int = 0):
     while len(smooth) < n_per_stratum and guard < 10000:
         guard += 1
         a, b, c, d = (rng.randrange(F.p) for _ in range(4))
-        if discriminant_value(F, CubicForm(*(F.of(v) for v in (a, b, c, d)))) == F.zero:
+        if discriminant_value(F, a, b, c, d) == F.zero:
             continue
         fiber = enumerate_center_fiber(F, a, b, c, d)
         if not fiber:
@@ -133,7 +133,7 @@ def sample_points(field, n_per_stratum: int = 20, seed: int = 0):
     while len(degenerate) < n_per_stratum and guard < 20000:
         guard += 1
         a, b, c, d = (rng.randrange(F.p) for _ in range(4))
-        if discriminant_value(F, CubicForm(*(F.of(v) for v in (a, b, c, d)))) != F.zero:
+        if discriminant_value(F, a, b, c, d) != F.zero:
             continue
         if on_twisted_cubic(F, a, b, c, d):
             continue

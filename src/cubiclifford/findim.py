@@ -13,7 +13,6 @@ from .center import central_elements
 from .commgeo import CentralPoint
 from .errors import NotFiniteDimensional, NotScalar, ZeroAlgebra
 from .freealg import NcPoly, cubic_form_relations
-from .linalg import Matrix
 from .rewrite import complete
 
 
@@ -21,6 +20,8 @@ class FinDimAlgebra:
     """Basis labels (normal words), structure constants, field.
 
     ``table[i][j]`` is the coordinate vector of basis_i * basis_j.
+    ``system`` is the completed presentation ``coords`` reduces with; it
+    is None for an algebra built from another's table, such as A/rad.
     """
 
     def __init__(self, field, system, basis, table):
@@ -57,10 +58,6 @@ class FinDimAlgebra:
                     if s != F.zero:
                         out[k] = F.add(out[k], F.mul(c, s))
         return out
-
-    def left_mult_matrix(self, v) -> Matrix:
-        cols = [self.mul_vec(v, e) for e in self.basis_vectors()]
-        return Matrix(self.field, cols).transpose()
 
     def basis_vectors(self):
         """Coordinate vectors of the basis elements (the identity rows)."""
@@ -123,27 +120,9 @@ def build_quotient(field, point: CentralPoint) -> FinDimAlgebra:
             f"normal words persist at degree {DEGREE_BOUND}")
 
     alg = FinDimAlgebra(field, system, basis, None)
-    F = field
-    table = []
-    for wi in basis:
-        row = []
-        for wj in basis:
-            nf = system.normal_form(NcPoly.word(F, wi + wj))
-            v = [F.zero] * alg.dim
-            for w, c in nf.terms.items():
-                v[alg.index[w]] = c
-            row.append(v)
-        table.append(row)
-    alg.table = table
+    alg.table = [[alg.coords(NcPoly.word(field, wi + wj)) for wj in basis]
+                 for wi in basis]
     return alg
-
-
-def generator_matrices(alg: FinDimAlgebra):
-    """Left-multiplication matrices of x and y on the basis."""
-    F = alg.field
-    xs = alg.coords(NcPoly.gen(F, "x"))
-    ys = alg.coords(NcPoly.gen(F, "y"))
-    return alg.left_mult_matrix(xs), alg.left_mult_matrix(ys)
 
 
 def reduce_center_images(alg: FinDimAlgebra):

@@ -62,15 +62,6 @@ class Matrix:
         return Matrix(self.field, [red([c * a for a in row])
                                    for row in self.entries])
 
-    def trace(self):
-        if self.rows != self.cols:
-            raise NotSquare("trace needs a square matrix")
-        F = self.field
-        t = F.zero
-        for i in range(self.rows):
-            t = F.add(t, self.entries[i][i])
-        return t
-
     def is_zero(self):
         z = self.field.zero
         return all(a == z for row in self.entries for a in row)

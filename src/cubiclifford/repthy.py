@@ -2,6 +2,15 @@
 Jacobson radical, Wedderburn block decomposition, and the brute-force
 representation searches in dimensions one and two.
 
+A/rad is itself a `FinDimAlgebra` (`radical_quotient`).  Its basis is
+the low-degree normal words of A: those at the columns that are not
+pivots of the radical, which is row-reduced from the last column so that
+each pivot is the highest nonzero entry of its row.  The empty word
+(column 0) could then only be the pivot of the row 1, and 1 is not in
+the radical, so the unit stays a basis element.  Its table is A's table
+reduced modulo the radical.  The center of any `FinDimAlgebra`
+(`center_basis`) is read from its table.
+
 The Wedderburn split factors the minimal polynomial of a generic central
 element of A/rad over F_p.  The factorizer is in-tree (`_factor_modp`):
 a squarefree test, distinct-degree factorization and Cantor-Zassenhaus
@@ -55,17 +64,6 @@ def trace_vector(alg: FinDimAlgebra):
             t = F.add(t, alg.table[i][j][j])
         out.append(t)
     return out
-
-
-def trace(alg: FinDimAlgebra, v):
-    """Regular trace of the element with coordinate vector v."""
-    F = alg.field
-    tv = trace_vector(alg)
-    t = F.zero
-    for c, tb in zip(v, tv):
-        if c != F.zero:
-            t = F.add(t, F.mul(c, tb))
-    return t
 
 
 def gram_matrix(alg: FinDimAlgebra, elements) -> Matrix:
@@ -153,62 +151,36 @@ def _is_nilpotent_ideal(alg: FinDimAlgebra, K):
     return False
 
 
-class _Quotient:
-    """A/rad as an algebra on the complement of the radical."""
+def radical_quotient(alg: FinDimAlgebra) -> FinDimAlgebra:
+    """A/rad on the normal words of A at the columns that are not pivots
+    of the radical, row-reduced from the last column; its table is A's
+    table reduced modulo the radical and read at those columns.  A/rad
+    has no presentation, so ``system`` is None."""
+    F = alg.field
+    R, rk, rev = rref(Matrix(F, [v[::-1] for v in radical(alg)]))
+    rows = [r[::-1] for r in R.entries[:rk]]
+    pivots = [alg.dim - 1 - c for c in rev]
+    free = [i for i in range(alg.dim) if i not in pivots]
+    table = []
+    for i in free:
+        row = []
+        for j in free:
+            v = _reduce_mod(F, rows, pivots, alg.table[i][j])
+            row.append([v[k] for k in free])
+        table.append(row)
+    return FinDimAlgebra(F, None, [alg.basis[i] for i in free], table)
 
-    def __init__(self, alg: FinDimAlgebra, rad_basis):
-        F = alg.field
-        self.field = F
-        self.alg = alg
-        if rad_basis:
-            R, _, pivots = rref(Matrix(F, rad_basis))
-            self.rad_rows = R.entries[: len(pivots)]
-            self.pivots = pivots
-        else:
-            self.rad_rows = []
-            self.pivots = []
-        self.free = [i for i in range(alg.dim) if i not in self.pivots]
-        self.dim = len(self.free)
 
-    def project(self, v):
-        """Reduce v modulo the radical; returns coords on free columns."""
-        v = _reduce_mod(self.field, self.rad_rows, self.pivots, v)
-        return [v[i] for i in self.free]
-
-    def lift(self, u):
-        F = self.field
-        v = [F.zero] * self.alg.dim
-        for c, i in zip(u, self.free):
-            v[i] = c
-        return v
-
-    def mul(self, u, v):
-        return self.project(self.alg.mul_vec(self.lift(u), self.lift(v)))
-
-    def unit(self):
-        return self.project(self.alg.unit_vector())
-
-    def basis_vectors(self):
-        F = self.field
-        out = []
-        for i in range(self.dim):
-            v = [F.zero] * self.dim
-            v[i] = F.one
-            out.append(v)
-        return out
-
-    def center_basis(self):
-        """Kernel of the commutator maps v -> v e_k - e_k v, all k."""
-        F = self.field
-        basis = self.basis_vectors()
-        big = []
-        for e in basis:
-            M = [[F.sub(a, b) for a, b in zip(self.mul(ej, e),
-                                              self.mul(e, ej))]
-                 for ej in basis]
-            for i in range(self.dim):
-                big.append([M[j][i] for j in range(self.dim)])
-        return kernel(Matrix(F, big))
+def center_basis(alg: FinDimAlgebra):
+    """Basis of the center: the kernel of v -> (v e_k - e_k v)_k, whose
+    matrix has entry table[i][k][m] - table[k][i][m] in row (k, m) and
+    column i."""
+    F = alg.field
+    table = alg.table
+    rows = [F.reduce_row([table[i][k][m] - table[k][i][m]
+                          for i in range(alg.dim)])
+            for k in range(alg.dim) for m in range(alg.dim)]
+    return kernel(Matrix(F, rows))
 
 
 # -- polynomial helpers over F_p (dense coefficient lists, low to high) ---
@@ -326,25 +298,19 @@ def _split_equal_degree(g, k, p, rng):
                     + _split_equal_degree(_pdivmod(g, d, p)[0], k, p, rng))
 
 
-def _min_poly(quot: _Quotient, v):
-    """Minimal polynomial of v in A/rad, low-to-high coefficient list."""
-    F = quot.field
-    powers = [quot.unit()]
-    cur = quot.unit()
-    rows = [list(cur)]
+def _min_poly(alg: FinDimAlgebra, v):
+    """Minimal polynomial of v, low-to-high coefficient list: the powers
+    1, v, v^2, ... are taken until ``solve`` writes v^d as a combination
+    c_0 + c_1 v + ... + c_{d-1} v^(d-1) of the lower ones, and the result
+    is x^d - c_{d-1} x^(d-1) - ... - c_0."""
+    F = alg.field
+    powers = [alg.unit_vector()]
     while True:
-        cur = quot.mul(cur, v)
-        rows.append(list(cur))
-        M = Matrix(F, rows)
-        if rank(M) < len(rows):
-            break
+        cur = alg.mul_vec(powers[-1], v)
+        sol = solve(Matrix(F, powers).transpose(), cur)
+        if sol is not None:
+            return [int(F.neg(c)) for c in sol] + [1]
         powers.append(cur)
-    # solve c_0 p_0 + ... + c_{d-1} p_{d-1} = p_d
-    A = Matrix(F, [[rows[i][j] for i in range(len(rows) - 1)]
-                   for j in range(quot.dim)])
-    sol = solve(A, rows[-1])
-    coeffs = [F.neg(c) for c in sol] + [F.one]
-    return [int(c) for c in coeffs]
 
 
 #: Random central elements ``wedderburn_blocks`` tries before it gives up
@@ -357,9 +323,8 @@ def wedderburn_blocks(alg: FinDimAlgebra, seed: int = 0) -> BlockStructure:
     a seeded random generating central element v."""
     F = alg.field
     p = F.p
-    rad = radical(alg)
-    quot = _Quotient(alg, rad)
-    zbasis = quot.center_basis()
+    quot = radical_quotient(alg)
+    zbasis = center_basis(quot)
     zdim = len(zbasis)
     rng = random.Random(seed)
     for _ in range(SPLIT_ATTEMPTS):
@@ -381,7 +346,7 @@ def wedderburn_blocks(alg: FinDimAlgebra, seed: int = 0) -> BlockStructure:
             k = len(mi) - 1
             hi, _ = _pdivmod(m, mi, p)
             e = _poly_eval_alg(quot, hi, v)
-            span = [quot.mul(b, e) for b in quot.basis_vectors()]
+            span = [quot.mul_vec(b, e) for b in quot.basis_vectors()]
             bdim = rank(Matrix(F, span))
             n2 = bdim // k
             n = math.isqrt(n2)
@@ -390,18 +355,19 @@ def wedderburn_blocks(alg: FinDimAlgebra, seed: int = 0) -> BlockStructure:
                     f"block of dim {bdim} incompatible with center degree {k}")
             blocks.append((n, k))
         blocks.sort()
-        return BlockStructure(blocks=blocks, radical_dim=len(rad))
+        return BlockStructure(blocks=blocks,
+                              radical_dim=alg.dim - quot.dim)
     raise SplitFailure("no generating central element found within budget")
 
 
-def _poly_eval_alg(quot: _Quotient, coeffs, v):
-    F = quot.field
-    out = [F.zero] * quot.dim
-    power = quot.unit()
+def _poly_eval_alg(alg: FinDimAlgebra, coeffs, v):
+    F = alg.field
+    out = [F.zero] * alg.dim
+    power = alg.unit_vector()
     for c in coeffs:
         if c:
             out = [F.add(a, F.mul(F.of(c), b)) for a, b in zip(out, power)]
-        power = quot.mul(power, v)
+        power = alg.mul_vec(power, v)
     return out
 
 

@@ -199,6 +199,26 @@ def test_usage_error_exit_code_two(capsys):
     assert captured.err.strip()
 
 
+@pytest.mark.parametrize("name", ["PRIME", "SEED", "DEGREE_BOUND"])
+def test_malformed_env_default_is_usage_error(capsys, monkeypatch, name):
+    monkeypatch.setenv(f"CUBICLIFFORD_{name}", "abc")
+    code = main(["relation-check"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert f"CUBICLIFFORD_{name}" in captured.err
+
+
+def test_unwritable_dump_is_usage_error(capsys, tmp_path):
+    dump = str(tmp_path / "missing" / "alg.json")
+    code = main(["quotient", "--point", "1,0,0,1,4,0", "--dump", dump])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_human_output(capsys):
     code, out = run(capsys, "nf", "--poly", "yx", "--output", "human")
     assert code == 0

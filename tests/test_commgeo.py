@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubiclifford.commgeo import (CommPoly, CubicForm, central_point,
+from cubiclifford.commgeo import (CommPoly, central_point,
                                   delta_partials, delta_poly,
                                   discriminant_value, enumerate_center_fiber,
                                   on_twisted_cubic, singular_locus_membership,
@@ -12,11 +12,11 @@ from cubiclifford.errors import ZeroPoint
 
 
 def test_discriminant_examples(f13, rationals):
-    assert discriminant_value(rationals, CubicForm(*map(Fraction, (1, 0, 0, 1)))) \
+    assert discriminant_value(rationals, *map(Fraction, (1, 0, 0, 1))) \
         == Fraction(1, 4)
-    assert discriminant_value(f13, CubicForm(1, 0, 0, 1)) == 10
-    assert discriminant_value(rationals, CubicForm(*map(Fraction, (1, 1, 1, 1)))) == 0
-    assert discriminant_value(f13, CubicForm(0, 0, 0, 0)) == 0
+    assert discriminant_value(f13, 1, 0, 0, 1) == 10
+    assert discriminant_value(rationals, *map(Fraction, (1, 1, 1, 1))) == 0
+    assert discriminant_value(f13, 0, 0, 0, 0) == 0
 
 
 def test_partials_match_symbolic_derivatives(rationals):
@@ -132,7 +132,7 @@ def test_delta_vanishes_on_cubic_symbolically(rationals):
 
 def test_fiber_enumeration(f13):
     pts = enumerate_center_fiber(f13, 1, 0, 0, 1)
-    D = discriminant_value(f13, CubicForm(1, 0, 0, 1))
+    D = discriminant_value(f13, 1, 0, 0, 1)
     brute = sum(1 for e in range(13) for f in range(13)
                 if (e * e) % 13 == (f ** 3 - 27 * D) % 13)
     assert len(pts) == brute

@@ -7,9 +7,9 @@ from cubiclifford.commgeo import central_point, enumerate_center_fiber
 from cubiclifford.errors import ZeroAlgebra
 from cubiclifford.findim import (FinDimAlgebra, build_quotient,
                                  check_unit_and_associativity,
-                                 generator_matrices, quotient_relations,
-                                 reduce_center_images)
+                                 quotient_relations, reduce_center_images)
 from cubiclifford.freealg import NcPoly
+from cubiclifford.linalg import Matrix
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +84,18 @@ def test_center_images_match_point(f13, smooth_alg, smooth_point):
 
 def test_center_images_singular(f13, singular_alg):
     assert reduce_center_images(singular_alg) == [1, 1, 1, 1, 0, 0]
+
+
+def generator_matrices(alg):
+    """Matrices L_x, L_y of left multiplication by x and y: column j is
+    the coordinate vector of x e_j (resp. y e_j)."""
+    F = alg.field
+    out = []
+    for g in "xy":
+        v = alg.coords(NcPoly.gen(F, g))
+        cols = [alg.mul_vec(v, e) for e in alg.basis_vectors()]
+        out.append(Matrix(F, cols).transpose())
+    return out
 
 
 def test_generator_matrices_satisfy_relations(f13, smooth_alg):

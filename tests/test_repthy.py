@@ -6,13 +6,15 @@ import pytest
 from cubiclifford import repthy
 from cubiclifford.commgeo import central_point, enumerate_center_fiber
 from cubiclifford.errors import FieldTooLarge, NotScalar
-from cubiclifford.findim import build_quotient
+from cubiclifford.disc import sample_points
+from cubiclifford.findim import build_quotient, check_unit_and_associativity
 from cubiclifford.fields import make_field
 from cubiclifford.freealg import NcPoly
 from cubiclifford.linalg import Matrix, kernel, rank, rref
-from cubiclifford.repthy import (DIM2_MAX_P, BlockStructure, dim2_x_forms,
-                                 full_gram, radical, search_irreps_dim1,
-                                 search_irreps_dim2, trace, trace_vector,
+from cubiclifford.repthy import (DIM2_MAX_P, BlockStructure, center_basis,
+                                 dim2_x_forms, full_gram, radical,
+                                 radical_quotient, search_irreps_dim1,
+                                 search_irreps_dim2, trace_vector,
                                  wedderburn_blocks)
 
 
@@ -38,7 +40,7 @@ def test_block_structure_helpers():
 
 
 def test_trace_of_unit(smooth_alg, f13):
-    assert trace(smooth_alg, smooth_alg.unit_vector()) == f13.of(9)
+    assert trace_vector(smooth_alg)[smooth_alg.unit_index] == f13.of(9)
 
 
 def test_trace_vector_length(smooth_alg):
@@ -67,6 +69,60 @@ def test_radical_elements_are_nilpotent(singular_alg):
         for _ in range(alg.dim):
             w = alg.mul_vec(w, v)
         assert all(c == alg.field.zero for c in w)
+
+
+def _brute_center_basis(alg):
+    """Kernel of v -> (v e - e v)_e with each commutator formed by
+    mul_vec on coordinate vectors, not read from the table."""
+    F = alg.field
+    es = alg.basis_vectors()
+    # column i of the map is the image of e_i: all commutators, stacked
+    cols = [[F.sub(a, b) for e in es
+             for a, b in zip(alg.mul_vec(ei, e), alg.mul_vec(e, ei))]
+            for ei in es]
+    return kernel(Matrix(F, cols).transpose())
+
+
+def _is_central(alg, v):
+    return all(alg.mul_vec(v, e) == alg.mul_vec(e, v)
+               for e in alg.basis_vectors())
+
+
+@pytest.mark.parametrize("name, quotient, zdim", [
+    ("smooth", False, 1),
+    ("singular", False, 1), ("singular", True, 3),
+    ("origin", False, 6), ("origin", True, 1),
+])
+def test_center_basis_matches_commutator_reference(request, name, quotient,
+                                                   zdim):
+    alg = request.getfixturevalue(f"{name}_alg")
+    if quotient:
+        alg = radical_quotient(alg)
+    zb = center_basis(alg)
+    assert len(zb) == zdim
+    assert all(_is_central(alg, v) for v in zb)
+    assert zb == _brute_center_basis(alg)
+
+
+def test_radical_quotient_keeps_unit_in_basis(f13, singular_alg):
+    # the radical is reduced from the last column, so the empty word is
+    # never a pivot; at (1,1,1,1,0,0) a left-to-right reduction pivots on it
+    pts = sample_points(f13, 10)["cubic"] + [
+        central_point(f13, 0, 0, 0, 0, 0, 0)]
+    for pt in pts:
+        alg = build_quotient(f13, pt)
+        quot = radical_quotient(alg)
+        assert "" in quot.basis, pt
+        assert quot.unit_index == 0
+        assert quot.system is None
+        assert quot.dim == alg.dim - len(radical(alg))
+    assert radical_quotient(singular_alg).basis == ["", "y", "yy"]
+
+
+def test_radical_quotient_is_unital_associative(smooth_alg, singular_alg,
+                                                origin_alg):
+    for alg in (smooth_alg, singular_alg, origin_alg):
+        assert check_unit_and_associativity(radical_quotient(alg))
 
 
 def test_smooth_blocks_full_matrix_algebra(smooth_alg):
