@@ -1,6 +1,7 @@
 """The six central elements of the generic Clifford algebra and the
-noncommutative formal discriminant, with computational verification of
-centrality and of the single center relation z4^2 = z5^3 - 27*Delta.
+noncommutative formal discriminant (`commgeo.discriminant` on z0..z3),
+with computational verification of centrality and of the single center
+relation z4^2 = z5^3 - 27*Delta.
 
 All constants are transcribed literally and then *checked* by normal-form
 computation; a failed check reports the offending normal form instead of
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .commgeo import discriminant
 from .errors import DegreeOutOfRange
 from .freealg import NcPoly
 
@@ -64,14 +66,10 @@ def central_elements(field) -> CenterElements:
 def formal_discriminant_nc(field) -> NcPoly:
     """Degree-12 expansion of
     (1/4)(z0 z3 - z1 z2)^2 - (z0 z2 - z1^2)(z1 z3 - z2^2)
-    in the free algebra, products taken in the written order."""
+    in the free algebra: `commgeo.discriminant` on z0..z3, products taken
+    in the written order."""
     z = central_elements(field)
-    F = field
-    quarter = F.inv(F.of(4))
-    s = z.z0.mul(z.z3).sub(z.z1.mul(z.z2))
-    t = z.z0.mul(z.z2).sub(z.z1.mul(z.z1))
-    u = z.z1.mul(z.z3).sub(z.z2.mul(z.z2))
-    return s.mul(s).scale(quarter).sub(t.mul(u))
+    return discriminant(z.z0, z.z1, z.z2, z.z3, field.inv(field.of(4)))
 
 
 def verify_centrality(system, p: NcPoly) -> bool:

@@ -1,6 +1,10 @@
 """Commutative side: binary-cubic discriminant, the discriminant
 hypersurface in z0..z3 with its partials, the twisted cubic, and
 singular-locus membership for central points.
+
+The minors, the discriminant and the cube map are each written once, with
+``+ - *``, and run on residues, ``Fraction``s, CommPoly and NcPoly alike:
+the symbolic checks exercise the code behind the numeric verdicts.
 """
 
 from __future__ import annotations
@@ -79,6 +83,11 @@ class CommPoly:
                     out[e] = s
         return CommPoly(F, self.nvars, out)
 
+    __add__ = add
+    __sub__ = sub
+    __mul__ = mul
+    __rmul__ = scale
+
     def pow(self, n):
         out = CommPoly.const(self.field, self.nvars, self.field.one)
         for _ in range(n):
@@ -132,97 +141,74 @@ class CentralPoint:
 
 
 def central_point(field, a, b, c, d, e, f, check=True) -> CentralPoint:
-    F = field
-    vals = tuple(F.of(v) if isinstance(v, int) else v for v in (a, b, c, d, e, f))
-    pt = CentralPoint(*vals)
+    pt = CentralPoint(*map(field.of, (a, b, c, d, e, f)))
     if check and not point_on_fiber(field, pt):
         raise ValueError(
             f"({a},{b},{c},{d},{e},{f}) violates e^2 = f^3 - 27 D(a,b,c,d)")
     return pt
 
 
+def _fiber_rhs(field, f, d_val):
+    """f^3 - 27 D, the value e^2 must take over a base point."""
+    return field.of(f * f * f - 27 * d_val)
+
+
 def point_on_fiber(field, pt: CentralPoint) -> bool:
-    F = field
-    d_val = discriminant_value(F, pt.a, pt.b, pt.c, pt.d)
-    lhs = F.mul(pt.e, pt.e)
-    rhs = F.sub(F.mul(F.mul(pt.f, pt.f), pt.f), F.mul(F.of(27), d_val))
-    return lhs == rhs
+    d_val = discriminant_value(field, pt.a, pt.b, pt.c, pt.d)
+    return field.of(pt.e * pt.e) == _fiber_rhs(field, pt.f, d_val)
+
+
+def minors(a, b, c, d):
+    """The three 2x2 catalecticant minors (ad - bc, ac - b^2, bd - c^2),
+    over any ring with ``+ - *``."""
+    return a * d - b * c, a * c - b * b, b * d - c * c
+
+
+def discriminant(a, b, c, d, quarter):
+    """quarter*(ad - bc)^2 - (ac - b^2)(bd - c^2), products in the written
+    order, over any ring with ``+ - *``; ``quarter`` is 1/4 of its field."""
+    s, t, u = minors(a, b, c, d)
+    return quarter * (s * s) - t * u
 
 
 def discriminant_value(field, a, b, c, d):
     """D = (1/4)(ad - bc)^2 - (ac - b^2)(bd - c^2) of the binary cubic form
     f = a u^3 + 3b u^2 v + 3c u v^2 + d v^3."""
     F = field
-    a, b, c, d = (F.of(v) if isinstance(v, int) else v for v in (a, b, c, d))
-    s = F.sub(F.mul(a, d), F.mul(b, c))
-    t = F.sub(F.mul(a, c), F.mul(b, b))
-    u = F.sub(F.mul(b, d), F.mul(c, c))
-    quarter = F.inv(F.of(4))
-    return F.sub(F.mul(quarter, F.mul(s, s)), F.mul(t, u))
+    return F.of(discriminant(*map(F.of, (a, b, c, d)), F.inv(F.of(4))))
 
 
 def delta_poly(field) -> CommPoly:
     """The discriminant hypersurface polynomial in z0..z3."""
     F = field
     z = [CommPoly.var(F, 4, i) for i in range(4)]
-    s = z[0].mul(z[3]).sub(z[1].mul(z[2]))
-    t = z[0].mul(z[2]).sub(z[1].mul(z[1]))
-    u = z[1].mul(z[3]).sub(z[2].mul(z[2]))
-    quarter = F.inv(F.of(4))
-    return s.mul(s).scale(quarter).sub(t.mul(u))
+    return discriminant(*z, F.inv(F.of(4)))
 
 
 def delta_partials(field):
-    """The four partials of delta, transcribed from their closed forms and
-    cross-checked against symbolic differentiation of delta_poly."""
-    F = field
-    z = [CommPoly.var(F, 4, i) for i in range(4)]
-    half = F.inv(F.of(2))
-    th = F.mul(F.of(3), half)  # 3/2
-    three = F.of(3)
-
-    p0 = (z[1].mul(z[2]).mul(z[3]).scale(F.neg(th))
-          .add(z[0].mul(z[3]).mul(z[3]).scale(half))
-          .add(z[2].pow(3)))
-    p1 = (z[0].mul(z[2]).mul(z[3]).scale(F.neg(th))
-          .add(z[1].mul(z[2]).mul(z[2]).scale(F.neg(th)))
-          .add(z[1].mul(z[1]).mul(z[3]).scale(three)))
-    p2 = (z[0].mul(z[1]).mul(z[3]).scale(F.neg(th))
-          .add(z[1].mul(z[1]).mul(z[2]).scale(F.neg(th)))
-          .add(z[0].mul(z[2]).mul(z[2]).scale(three)))
-    p3 = (z[0].mul(z[1]).mul(z[2]).scale(F.neg(th))
-          .add(z[0].mul(z[0]).mul(z[3]).scale(half))
-          .add(z[1].pow(3)))
-    transcribed = [p0, p1, p2, p3]
-
+    """The four partials of delta, by symbolic differentiation."""
     delta = delta_poly(field)
-    for i, p in enumerate(transcribed):
-        if delta.diff(i) != p:
-            raise AssertionError(
-                f"transcribed partial {i} disagrees with symbolic derivative")
-    return transcribed
+    return [delta.diff(i) for i in range(4)]
+
+
+def cube_map(x0, x1):
+    """(x0^3, x0^2 x1, x0 x1^2, x1^3), over any ring with ``*``."""
+    return x0 * x0 * x0, x0 * x0 * x1, x0 * x1 * x1, x1 * x1 * x1
 
 
 def twisted_cubic_point(field, x0, x1):
     """(x0^3, x0^2 x1, x0 x1^2, x1^3); rejects (0, 0)."""
     F = field
-    x0 = F.of(x0) if isinstance(x0, int) else x0
-    x1 = F.of(x1) if isinstance(x1, int) else x1
+    x0, x1 = F.of(x0), F.of(x1)
     if x0 == F.zero and x1 == F.zero:
         raise ZeroPoint("(0,0) is not a point of P^1")
-    return (F.mul(F.mul(x0, x0), x0),
-            F.mul(F.mul(x0, x0), x1),
-            F.mul(F.mul(x0, x1), x1),
-            F.mul(F.mul(x1, x1), x1))
+    return tuple(map(F.of, cube_map(x0, x1)))
 
 
 def on_twisted_cubic(field, a, b, c, d) -> bool:
     """Vanishing of the three 2x2 catalecticant minors (reduced variety)."""
     F = field
-    a, b, c, d = (F.of(v) if isinstance(v, int) else v for v in (a, b, c, d))
-    return (F.sub(F.mul(a, d), F.mul(b, c)) == F.zero
-            and F.sub(F.mul(a, c), F.mul(b, b)) == F.zero
-            and F.sub(F.mul(b, d), F.mul(c, c)) == F.zero)
+    return all(F.of(m) == F.zero for m in minors(*map(F.of, (a, b, c, d))))
 
 
 def singular_locus_membership(field, pt: CentralPoint) -> bool:
@@ -243,7 +229,6 @@ def enumerate_center_fiber(field, a, b, c, d):
         roots.setdefault(F.mul(e, e), []).append(e)
     out = []
     for f in F.elements():
-        rhs = F.sub(F.mul(F.mul(f, f), f), F.mul(F.of(27), d_val))
-        for e in roots.get(rhs, ()):
+        for e in roots.get(_fiber_rhs(F, f, d_val), ()):
             out.append(central_point(F, a, b, c, d, e, f, check=False))
     return out

@@ -133,6 +133,11 @@ class NcPoly:
                     out[w] = s
         return NcPoly(F, out)
 
+    __add__ = add
+    __sub__ = sub
+    __mul__ = mul
+    __rmul__ = scale
+
     def pow(self, n: int) -> "NcPoly":
         out = NcPoly.one(self.field)
         for _ in range(n):
@@ -212,11 +217,10 @@ def cubic_form_relations(field, a, b, c, d):
     f = a u^3 + 3b u^2 v + 3c u v^2 + d v^3."""
     F = field
     one = F.one
+    a, b, c, d = map(F.of, (a, b, c, d))
     return [
-        NcPoly(F, {"xxx": one, "": F.neg(F.of(a) if isinstance(a, int) else a)}),
-        NcPoly(F, {"yyy": one, "": F.neg(F.of(d) if isinstance(d, int) else d)}),
-        NcPoly(F, {"xxy": one, "xyx": one, "yxx": one,
-                   "": F.neg(F.mul(F.of(3), F.of(b) if isinstance(b, int) else b))}),
-        NcPoly(F, {"yyx": one, "yxy": one, "xyy": one,
-                   "": F.neg(F.mul(F.of(3), F.of(c) if isinstance(c, int) else c))}),
+        NcPoly(F, {"xxx": one, "": F.neg(a)}),
+        NcPoly(F, {"yyy": one, "": F.neg(d)}),
+        NcPoly(F, {"xxy": one, "xyx": one, "yxx": one, "": F.of(-3 * b)}),
+        NcPoly(F, {"yyx": one, "yxy": one, "xyy": one, "": F.of(-3 * c)}),
     ]

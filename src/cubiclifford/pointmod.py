@@ -1,16 +1,20 @@
 """Point modules: the step linear system, three-periodicity, central
 characters of diagonal point modules, and predicted simple-quotient
 dimensions for a triple of P^1 points.
+
+X, Y, Z, the rows of the a = b = c system and gamma are written once, with
+``+ - *``; `gamma_invariants` and `gamma_squared_identity_symbolic` run the
+same code on field elements and on commutative polynomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .commgeo import CentralPoint, CommPoly, central_point
+from .commgeo import CentralPoint, CommPoly, central_point, cube_map
 from .errors import KernelDimensionUnexpected, ZeroPoint
 from .fields import RationalField
-from .linalg import Matrix, det, kernel
+from .linalg import Matrix, kernel
 
 
 @dataclass(frozen=True)
@@ -22,8 +26,7 @@ class ProjPoint:
 
 def proj_point(field, x, y) -> ProjPoint:
     F = field
-    x = F.of(x) if isinstance(x, int) else x
-    y = F.of(y) if isinstance(y, int) else y
+    x, y = F.of(x), F.of(y)
     if x == F.zero and y == F.zero:
         raise ZeroPoint("(0,0) does not define a point of P^1")
     if x != F.zero:
@@ -90,60 +93,44 @@ def central_character_diagonal(field, p: ProjPoint) -> CentralPoint:
     """Central character of the diagonal point module at p = (a, b):
     (a^3, a^2 b, a b^2, b^3, 0, 0), always on the singular locus."""
     F = field
-    a, b = p.x, p.y
-    m = F.mul
-    return central_point(
-        F, m(m(a, a), a), m(m(a, a), b), m(m(a, b), b), m(m(b, b), b),
-        F.zero, F.zero, check=False)
+    return central_point(F, *cube_map(p.x, p.y), F.zero, F.zero, check=False)
+
+
+def _invariants(x0, y0, x1, y1, x2, y2):
+    """X, Y, Z of a triple and the rows of the 3x3 system whose product
+    with (X, Y, Z) is (a, b, c), over any ring with ``+ - *``."""
+    X, Y, Z = (v * v for v in (x1 * y0 - x0 * y1, x2 * y0 - x0 * y2,
+                               x2 * y1 - x1 * y2))
+    rows = ((x2 * y2, x1 * y1, x0 * y0),
+            (x2 * x2, x1 * x1, x0 * x0),
+            (y2 * y2, y1 * y1, y0 * y0))
+    return X, Y, Z, rows
+
+
+def _det3(rows):
+    """Cofactor expansion of a 3x3 determinant along the first row."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def gamma_invariants(field, t: PointTriple):
-    """The proof quantities (a, b, c, X, Y, Z, gamma) for a triple."""
-    F = field
-    x0, y0 = t.p0.x, t.p0.y
-    x1, y1 = t.p1.x, t.p1.y
-    x2, y2 = t.p2.x, t.p2.y
-    m = F.mul
-
-    def sq(v):
-        return m(v, v)
-
-    X = sq(F.sub(m(x1, y0), m(x0, y1)))
-    Y = sq(F.sub(m(x2, y0), m(x0, y2)))
-    Z = sq(F.sub(m(x2, y1), m(x1, y2)))
-    a = F.add(F.add(m(m(x2, y2), X), m(m(x1, y1), Y)), m(m(x0, y0), Z))
-    b = F.add(F.add(m(sq(x0), Z), m(sq(x1), Y)), m(sq(x2), X))
-    c = F.add(F.add(m(sq(y0), Z), m(sq(y1), Y)), m(sq(y2), X))
-    gamma = det(abc_matrix(field, t))
-    return {"a": a, "b": b, "c": c, "X": X, "Y": Y, "Z": Z, "gamma": gamma}
-
-
-def abc_matrix(field, t: PointTriple) -> Matrix:
-    """The 3x3 coefficient matrix of the a = b = c = 0 system in X, Y, Z."""
-    F = field
-    x0, y0 = t.p0.x, t.p0.y
-    x1, y1 = t.p1.x, t.p1.y
-    x2, y2 = t.p2.x, t.p2.y
-    m = F.mul
-    return Matrix(F, [
-        [m(x2, y2), m(x1, y1), m(x0, y0)],
-        [m(x2, x2), m(x1, x1), m(x0, x0)],
-        [m(y2, y2), m(y1, y1), m(y0, y0)],
-    ])
+    """The proof quantities (a, b, c, X, Y, Z, gamma) for a triple:
+    (a, b, c) is the system's rows times (X, Y, Z), gamma its determinant."""
+    X, Y, Z, rows = _invariants(t.p0.x, t.p0.y, t.p1.x, t.p1.y,
+                                t.p2.x, t.p2.y)
+    a, b, c = (r0 * X + r1 * Y + r2 * Z for r0, r1, r2 in rows)
+    values = {"a": a, "b": b, "c": c, "X": X, "Y": Y, "Z": Z,
+              "gamma": _det3(rows)}
+    return {k: field.of(v) for k, v in values.items()}
 
 
 def abc_system_admits_solution(field, t: PointTriple) -> bool:
-    """Whether the actual (X, Y, Z) of the triple solves the 3x3 system.
+    """Whether the actual (X, Y, Z) of the triple solves a = b = c = 0.
 
     For non-diagonal triples this must be False (the proof's
     contradiction), so a 1-dimensional simple quotient cannot exist."""
     inv = gamma_invariants(field, t)
-    v = [inv["X"], inv["Y"], inv["Z"]]
-    F = field
-    if all(c == F.zero for c in v):
-        return True  # diagonal triple: the zero solution is the actual one
-    residual = abc_matrix(field, t).mul_vec(v)
-    return all(c == F.zero for c in residual)
+    return inv["a"] == inv["b"] == inv["c"] == field.zero
 
 
 def predict_simple_quotient(field, t: PointTriple):
@@ -154,26 +141,9 @@ def predict_simple_quotient(field, t: PointTriple):
 
 def gamma_squared_identity_symbolic() -> bool:
     """gamma^2 = X*Y*Z as a polynomial identity in x0,y0,x1,y1,x2,y2
-    over the rationals, expanded with the commutative polynomial type."""
+    over the rationals: `_invariants` and `_det3` run on commutative
+    polynomials."""
     Q = RationalField()
-    v = [CommPoly.var(Q, 6, i) for i in range(6)]
-    x0, y0, x1, y1, x2, y2 = v
-
-    def sq(p):
-        return p.mul(p)
-
-    X = sq(x1.mul(y0).sub(x0.mul(y1)))
-    Y = sq(x2.mul(y0).sub(x0.mul(y2)))
-    Z = sq(x2.mul(y1).sub(x1.mul(y2)))
-    m = [
-        [x2.mul(y2), x1.mul(y1), x0.mul(y0)],
-        [sq(x2), sq(x1), sq(x0)],
-        [sq(y2), sq(y1), sq(y0)],
-    ]
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    gamma = (a.mul(e.mul(i).sub(f.mul(h)))
-             .sub(b.mul(d.mul(i).sub(f.mul(g))))
-             .add(c.mul(d.mul(h).sub(e.mul(g)))))
-    return sq(gamma) == X.mul(Y).mul(Z)
+    X, Y, Z, rows = _invariants(*(CommPoly.var(Q, 6, i) for i in range(6)))
+    gamma = _det3(rows)
+    return gamma * gamma == X * Y * Z

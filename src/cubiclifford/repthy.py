@@ -29,7 +29,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .commgeo import CentralPoint
+from .commgeo import CentralPoint, cube_map
 from .errors import (CharacteristicTooSmall, FieldTooLarge, NotScalar,
                      SplitFailure)
 from .findim import FinDimAlgebra
@@ -475,9 +475,11 @@ def search_irreps_dim1(field, point: CentralPoint):
     out = []
     if point.e != F.zero or point.f != F.zero:
         return out
+    target = point.coords()[:4]
     for a in range(p):
+        if pow(a, 3, p) != point.a:
+            continue
         for b in range(p):
-            if (pow(a, 3, p) == point.a and a * a * b % p == point.b
-                    and a * b * b % p == point.c and pow(b, 3, p) == point.d):
+            if tuple(v % p for v in cube_map(a, b)) == target:
                 out.append((a, b))
     return out

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from cubiclifford.center import (center_relation_residue, central_elements,
@@ -55,6 +57,14 @@ def test_unit_is_central(system13, f13):
 def test_formal_discriminant_degree_12(f13):
     delta = formal_discriminant_nc(f13)
     assert all(len(w) == 12 for w in delta.terms)
+
+
+def test_formal_discriminant_pinned(f13):
+    # sha256 of the serialized expansion, recorded before the discriminant
+    # was shared with commgeo; the product order must not change
+    text = formal_discriminant_nc(f13).serialize()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "bbd0e4e060fc70e7238bbcfb151511731ea63eefab087da6a060a68a60b2d3a9")
 
 
 def test_formal_discriminant_commutes_with_x(system13, f13):

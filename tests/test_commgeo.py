@@ -1,14 +1,18 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from cubiclifford.commgeo import (CommPoly, central_point,
-                                  delta_partials, delta_poly,
+from cubiclifford.commgeo import (CommPoly, central_point, cube_map,
+                                  delta_partials, delta_poly, discriminant,
                                   discriminant_value, enumerate_center_fiber,
-                                  on_twisted_cubic, singular_locus_membership,
+                                  minors, on_twisted_cubic,
+                                  singular_locus_membership,
                                   twisted_cubic_point)
 from cubiclifford.errors import ZeroPoint
+from cubiclifford.freealg import cubic_form_relations
+from cubiclifford.pointmod import proj_point
 
 
 def test_discriminant_examples(f13, rationals):
@@ -20,9 +24,98 @@ def test_discriminant_examples(f13, rationals):
 
 
 def test_partials_match_symbolic_derivatives(rationals):
-    # delta_partials raises internally if the transcription disagrees
+    # delta_partials differentiates delta_poly; the closed forms they must
+    # equal are transcribed in test_partials_equal_transcribed_closed_forms
     parts = delta_partials(rationals)
     assert len(parts) == 4
+
+
+def transcribed_partials(F):
+    """The four partials of delta written out from their closed forms."""
+    z = [CommPoly.var(F, 4, i) for i in range(4)]
+    half = F.inv(F.of(2))
+    th = F.mul(F.of(3), half)  # 3/2
+    three = F.of(3)
+    p0 = (z[1].mul(z[2]).mul(z[3]).scale(F.neg(th))
+          .add(z[0].mul(z[3]).mul(z[3]).scale(half))
+          .add(z[2].pow(3)))
+    p1 = (z[0].mul(z[2]).mul(z[3]).scale(F.neg(th))
+          .add(z[1].mul(z[2]).mul(z[2]).scale(F.neg(th)))
+          .add(z[1].mul(z[1]).mul(z[3]).scale(three)))
+    p2 = (z[0].mul(z[1]).mul(z[3]).scale(F.neg(th))
+          .add(z[1].mul(z[1]).mul(z[2]).scale(F.neg(th)))
+          .add(z[0].mul(z[2]).mul(z[2]).scale(three)))
+    p3 = (z[0].mul(z[1]).mul(z[2]).scale(F.neg(th))
+          .add(z[0].mul(z[0]).mul(z[3]).scale(half))
+          .add(z[1].pow(3)))
+    return [p0, p1, p2, p3]
+
+
+@pytest.mark.parametrize("field", ["rationals", "f13", "f31"])
+def test_partials_equal_transcribed_closed_forms(field, request):
+    F = request.getfixturevalue(field)
+    assert delta_partials(F) == transcribed_partials(F)
+
+
+def test_delta_poly_terms(rationals):
+    # pinned expansion: a^2d^2/4 - 3abcd/2 + ac^3 + b^3d - 3b^2c^2/4
+    assert delta_poly(rationals).terms == {
+        (2, 0, 0, 2): Fraction(1, 4), (1, 1, 1, 1): Fraction(-3, 2),
+        (1, 0, 3, 0): Fraction(1), (0, 3, 0, 1): Fraction(1),
+        (0, 2, 2, 0): Fraction(-3, 4)}
+
+
+def test_discriminant_exhaustive_f7(f7):
+    # independent oracle: 4D = a^2d^2 - 6abcd + 4ac^3 + 4b^3d - 3b^2c^2,
+    # and the affine cone over the twisted cubic as the set of t*(x^3,
+    # x^2y, xy^2, y^3), built without the library's minors or cube map
+    p = f7.p
+    inv4 = pow(4, p - 2, p)
+    cone = {tuple(t * v % p for v in (x ** 3, x * x * y, x * y * y, y ** 3))
+            for t in range(p) for x in range(p) for y in range(p)}
+    delta = delta_poly(f7)
+    for a, b, c, d in itertools.product(range(p), repeat=4):
+        want = (a * a * d * d - 6 * a * b * c * d + 4 * a * c ** 3
+                + 4 * b ** 3 * d - 3 * b * b * c * c) * inv4 % p
+        assert discriminant_value(f7, a, b, c, d) == want
+        assert delta.evaluate([a, b, c, d]) == want
+        assert on_twisted_cubic(f7, a, b, c, d) == ((a, b, c, d) in cone)
+    assert len(cone) == 1 + (p - 1) * (p + 1)
+
+
+def test_fraction_inputs_reduce_to_residues(f13):
+    # 1/2 is the residue 7 in F_13; every entry point must store residues
+    h = Fraction(1, 2)
+    assert discriminant_value(f13, h, 0, 0, 1) == 9
+    assert discriminant_value(f13, 7, 0, 0, 1) == 9
+    assert twisted_cubic_point(f13, h, 1) == (5, 10, 7, 1)
+    assert proj_point(f13, 2, h) == proj_point(f13, 2, 7)
+    assert proj_point(f13, 2, h).y == 10
+    assert central_point(f13, h, 0, 0, 0, 0, 0, check=False).a == 7
+    assert on_twisted_cubic(f13, h, 0, 0, 0)
+    from_half = cubic_form_relations(f13, h, h, h, h)
+    from_seven = cubic_form_relations(f13, 7, 7, 7, 7)
+    assert [r.terms for r in from_half] == [r.terms for r in from_seven]
+    assert [r.terms[""] for r in from_seven] == [6, 6, 5, 5]
+
+
+def test_library_formulas_on_the_twisted_cubic_symbolically(rationals):
+    # the library's own cube map, minors and discriminant, run on
+    # polynomials in x0, x1: the cubic lies in all four hypersurfaces
+    Q = rationals
+    x0, x1 = CommPoly.var(Q, 2, 0), CommPoly.var(Q, 2, 1)
+    pt = cube_map(x0, x1)
+    assert pt[1] == x0.pow(2).mul(x1) and pt[3] == x1.pow(3)
+    assert all(m.is_zero() for m in minors(*pt))
+    assert discriminant(*pt, Fraction(1, 4)).is_zero()
+
+
+def test_operators_alias_the_methods(f13):
+    z = [CommPoly.var(f13, 3, i) for i in range(3)]
+    assert z[0] + z[1] == z[0].add(z[1])
+    assert z[0] - z[1] == z[0].sub(z[1])
+    assert z[0] * z[2] == z[0].mul(z[2])
+    assert 5 * z[1] == z[1].scale(5)
 
 
 def test_partial_z0_at_0001(rationals):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -58,3 +59,11 @@ def test_omega_relations(p):
     assert F.mul(F.mul(w, w), w) == F.one
     # 1 + w + w^2 = 0
     assert F.add(F.one, F.add(w, F.mul(w, w))) == F.zero
+
+
+def test_reduce_row():
+    # linalg and repthy reach reduce_row only through field objects
+    assert make_field("prime", 13).reduce_row([-1, 13, 27, 5]) == [12, 0, 1, 5]
+    Q = make_field("rational")
+    row = [Fraction(-1, 2), Fraction(7, 3), Fraction(0)]
+    assert Q.reduce_row(row) == row

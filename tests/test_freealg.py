@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cubiclifford.errors import FieldMismatch
+from cubiclifford.fields import make_field
 from cubiclifford.freealg import (NcPoly, clifford_relations, commutator,
                                   cubic_form_relations, parse_poly)
 
@@ -114,3 +115,12 @@ def test_serialize_parse_roundtrip(f13):
 def test_serialize_zero_and_unit(f13):
     assert NcPoly.zero(f13).serialize() == "0"
     assert NcPoly.one(f13).serialize() == "1*1"
+
+
+def test_operators_alias_the_methods(f13):
+    X, Y = x(f13), y(f13)
+    assert X * Y - Y * X == commutator(X, Y)
+    assert (X + Y).terms == {"x": 1, "y": 1}
+    assert 2 * (X * Y) == X.mul(Y).scale(2)
+    with pytest.raises(FieldMismatch):
+        X * NcPoly.gen(make_field("prime", 31), "y")

@@ -1,5 +1,6 @@
 """Every name a library module imports is used in that module, and every
-name the library defines is used somewhere in the repository."""
+name the library defines is used somewhere in the repository; a method
+only counts as used where its module is, or is imported."""
 
 import ast
 import re
@@ -64,6 +65,11 @@ def defined_names(source):
     return out
 
 
+def _dotted_string(node):
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and re.fullmatch(r"[A-Za-z_][\w.]*", node.value))
+
+
 def referenced_names(source):
     """Names a module loads, attributes it reads, names it imports, and
     the parts of dotted-name strings (as in ``getattr`` or the
@@ -76,20 +82,47 @@ def referenced_names(source):
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.update(node.name.split("."))
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and re.fullmatch(r"[A-Za-z_][\w.]*", node.value)):
+        elif _dotted_string(node):
+            out.update(node.value.split("."))
+    return out
+
+
+def imported_modules(source):
+    """The parts of every module path a source imports, by an import
+    statement or by a dotted-name string (as ``importlib`` targets), and
+    the names it imports from a package."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            out.update((node.module or "").split("."))
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            out.update(part for alias in node.names
+                       for part in alias.name.split("."))
+        elif _dotted_string(node):
             out.update(node.value.split("."))
     return out
 
 
 def unreferenced_definitions(defining, referencing):
     """(module, qualified name) of every name defined in the ``defining``
-    sources that none of the ``referencing`` sources uses."""
-    used = set().union(*map(referenced_names, referencing.values()))
+    sources that none of the ``referencing`` sources uses.  A method
+    counts as used only in its own module or in one that imports it: an
+    attribute of the same name read elsewhere belongs to another type."""
+    names = {m: referenced_names(s) for m, s in referencing.items()}
+    imports = {m: imported_modules(s) for m, s in referencing.items()}
+    used = set().union(*names.values())
+
+    def method_used(module, name):
+        stem = Path(module).stem
+        return any(name in names[m] for m in referencing
+                   if m == module or stem in imports[m])
+
     return sorted((module, qual)
                   for module, source in defining.items()
                   for qual, name in defined_names(source)
-                  if name not in used)
+                  if not (method_used(module, name) if "." in qual
+                          else name in used))
 
 
 def test_every_library_name_is_referenced():
@@ -102,8 +135,12 @@ def test_every_library_name_is_referenced():
 
 def test_scanner_flags_unreferenced_definitions():
     lib = ("class A:\n    def used(self): pass\n    def dead(self): pass\n"
-           "    def __len__(self): return 0\n"
+           "    def stale(self): pass\n    def __len__(self): return 0\n"
            "def traced(): pass\ndef orphan(): pass\nclass Gone: pass\n")
-    user = "A().used()\nTARGETS = ('mod.traced',)\n"
-    assert unreferenced_definitions({"lib": lib}, {"lib": lib, "user": user}) \
-        == [("lib", "A.dead"), ("lib", "Gone"), ("lib", "orphan")]
+    user = "from lib import A\nA().used()\nTARGETS = ('mod.traced',)\n"
+    # reads an attribute named like A.stale without importing lib
+    other = "def f(args):\n    return args.stale\n"
+    sources = {"lib": lib, "user": user, "other": other}
+    assert unreferenced_definitions({"lib": lib}, sources) == [
+        ("lib", "A.dead"), ("lib", "A.stale"), ("lib", "Gone"),
+        ("lib", "orphan")]

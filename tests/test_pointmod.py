@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from cubiclifford.commgeo import singular_locus_membership
 from cubiclifford.errors import ZeroPoint
+from cubiclifford.linalg import Matrix, det
 from cubiclifford.pointmod import (PointTriple, abc_system_admits_solution,
                                    all_proj_points, central_character_diagonal,
                                    gamma_invariants,
@@ -114,3 +116,27 @@ def test_distinct_diagonal_points_have_distinct_characters(f13):
     pts = all_proj_points(f13)
     chars = {central_character_diagonal(f13, p).coords() for p in pts}
     assert len(chars) == len(pts)
+
+
+def test_gamma_invariants_exhaustive_f7(f7):
+    # independent oracle at all 512 triples: X, Y, Z and the system
+    # matrix M written out in plain integers, (a, b, c) = M (X, Y, Z) and
+    # gamma = det M by the library's elimination
+    F = f7
+    p = F.p
+    pts = all_proj_points(F)
+    for t in itertools.product(pts, repeat=3):
+        (x0, y0), (x1, y1), (x2, y2) = ((q.x, q.y) for q in t)
+        X = (x1 * y0 - x0 * y1) ** 2 % p
+        Y = (x2 * y0 - x0 * y2) ** 2 % p
+        Z = (x2 * y1 - x1 * y2) ** 2 % p
+        M = Matrix(F, [[x2 * y2 % p, x1 * y1 % p, x0 * y0 % p],
+                       [x2 * x2 % p, x1 * x1 % p, x0 * x0 % p],
+                       [y2 * y2 % p, y1 * y1 % p, y0 * y0 % p]])
+        a, b, c = M.mul_vec([X, Y, Z])
+        inv = gamma_invariants(F, PointTriple(*t))
+        assert inv == {"a": a, "b": b, "c": c, "X": X, "Y": Y, "Z": Z,
+                       "gamma": det(M)}
+        # the system holds exactly on the diagonal
+        assert abc_system_admits_solution(F, PointTriple(*t)) == (
+            a == b == c == 0) == (t[0] == t[1] == t[2])

@@ -534,3 +534,20 @@ def test_search_dim1_origin(f13):
 def test_search_dim1_off_singular(f13):
     pt = enumerate_center_fiber(f13, 1, 0, 0, 1)[0]
     assert search_irreps_dim1(f13, pt) == []
+
+
+def test_search_dim1_brute_force_f7(f7):
+    # every (a, b) whose plain-integer cube image is the point, at all
+    # 2,401 points with e = f = 0; each (a, b) is found exactly once
+    p = f7.p
+    brute = {}
+    for a, b in itertools.product(range(p), repeat=2):
+        key = (a ** 3 % p, a * a * b % p, a * b * b % p, b ** 3 % p)
+        brute.setdefault(key, []).append((a, b))
+    found = 0
+    for coords in itertools.product(range(p), repeat=4):
+        pt = central_point(f7, *coords, 0, 0, check=False)
+        sols = search_irreps_dim1(f7, pt)
+        assert sols == brute.get(coords, [])
+        found += len(sols)
+    assert found == p * p
