@@ -151,9 +151,19 @@ def cmd_singular_check(args):
     return _emit(args, payload)
 
 
+def _check_writable(path):
+    """Reject a path open(path, "w") cannot write, without touching it."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(
+            path if os.path.exists(path) else parent, os.W_OK):
+        raise ValueError(f"cannot write --dump: {path}")
+
+
 def cmd_quotient(args):
     field = make_field("prime", args.prime)
     pt = _parse_point(field, args.point)
+    if args.dump:
+        _check_writable(args.dump)
     alg = build_quotient(field, pt)
     checks = {
         "unit_and_associativity": check_unit_and_associativity(alg),

@@ -5,29 +5,38 @@ singular-locus membership for central points.
 The minors, the discriminant and the cube map are each written once, with
 ``+ - *``, and run on residues, ``Fraction``s, CommPoly and NcPoly alike:
 the symbolic checks exercise the code behind the numeric verdicts.
+CommPoly takes its arithmetic from ``freealg.SparsePoly``, as NcPoly does;
+it adds only how exponent tuples multiply, ``diff`` and ``evaluate``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import ZeroPoint
+from .freealg import SparsePoly
 
 
-class CommPoly:
-    """Sparse commutative polynomial: exponent tuple -> scalar."""
+class CommPoly(SparsePoly):
+    """Sparse commutative polynomial in ``nvars`` variables: exponent
+    tuple -> scalar."""
 
-    __slots__ = ("field", "nvars", "terms")
+    __slots__ = ("nvars",)
 
     def __init__(self, field, nvars, terms=None):
-        self.field = field
+        super().__init__(field, terms)
         self.nvars = nvars
-        self.terms = {}
-        if terms:
-            z = field.zero
-            for e, c in terms.items():
-                if c != z:
-                    self.terms[tuple(e)] = c
+
+    @staticmethod
+    def _mono_mul(e1, e2):
+        return tuple(map(operator.add, e1, e2))  # exponents add
+
+    def _unit(self):
+        return (0,) * self.nvars
+
+    def _like(self, terms):
+        return CommPoly(self.field, self.nvars, terms)
 
     @classmethod
     def zero(cls, field, nvars):
@@ -43,83 +52,22 @@ class CommPoly:
         e[i] = 1
         return cls(field, nvars, {tuple(e): field.one})
 
-    def is_zero(self):
-        return not self.terms
-
-    def add(self, other):
-        F = self.field
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = F.add(out.get(e, F.zero), c)
-            if s == F.zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return CommPoly(F, self.nvars, out)
-
-    def neg(self):
-        F = self.field
-        return CommPoly(F, self.nvars, {e: F.neg(c) for e, c in self.terms.items()})
-
-    def sub(self, other):
-        return self.add(other.neg())
-
-    def scale(self, c):
-        F = self.field
-        return CommPoly(F, self.nvars,
-                        {e: F.mul(c, a) for e, a in self.terms.items()})
-
-    def mul(self, other):
-        F = self.field
-        out = {}
-        z = F.zero
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = F.add(out.get(e, z), F.mul(c1, c2))
-                if s == z:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return CommPoly(F, self.nvars, out)
-
-    __add__ = add
-    __sub__ = sub
-    __mul__ = mul
-    __rmul__ = scale
-
-    def pow(self, n):
-        out = CommPoly.const(self.field, self.nvars, self.field.one)
-        for _ in range(n):
-            out = out.mul(self)
-        return out
-
     def diff(self, i):
         """Partial derivative in variable i."""
         F = self.field
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            out[tuple(ne)] = F.mul(F.of(e[i]), c)
-        return CommPoly(F, self.nvars, out)
+        return CommPoly(F, self.nvars, {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: F.mul(F.of(e[i]), c)
+            for e, c in self.terms.items() if e[i]})
 
     def evaluate(self, values):
         F = self.field
+        values = [F.of(v) for v in values]
         total = F.zero
         for e, c in self.terms.items():
-            term = c
             for exp, v in zip(e, values):
-                for _ in range(exp):
-                    term = F.mul(term, v)
-            total = F.add(total, term)
+                c = F.mul(c, F.of(v ** exp))
+            total = F.add(total, c)
         return total
-
-    def __eq__(self, other):
-        return (isinstance(other, CommPoly) and self.field == other.field
-                and self.terms == other.terms)
 
     def __repr__(self):
         return f"CommPoly({self.nvars} vars, {len(self.terms)} terms)"

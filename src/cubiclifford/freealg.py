@@ -2,11 +2,14 @@
 
 Words are plain strings over the alphabet ``xy`` ("" is the empty word,
 printed as "1").  Polynomials are zero-free dicts word -> scalar, wrapped
-in :class:`NcPoly` together with their field.
+in :class:`NcPoly` together with their field.  NcPoly and
+``commgeo.CommPoly`` share one arithmetic, :class:`SparsePoly`; its term
+accumulation ``add_term`` also builds completion's S-polynomials.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .errors import FieldMismatch
@@ -49,8 +52,20 @@ class WordOrder:
         return f"WordOrder({self.big_letter!r})"
 
 
-class NcPoly:
-    """Noncommutative polynomial: zero-free map word -> scalar."""
+def add_term(terms, m, c, field):
+    """Add c to the coefficient of m in a zero-free dict, dropping zeros."""
+    s = field.add(terms.get(m, field.zero), c)
+    if s != field.zero:
+        terms[m] = s
+    else:
+        terms.pop(m, None)
+
+
+class SparsePoly:
+    """Zero-free map monomial -> scalar, every scalar in canonical form
+    (``field.of``).  A subclass says how its monomials multiply
+    (``_mono_mul(m1, m2)``, and the monomial 1, ``_unit()``) and how to
+    build a result of its own kind (``_like(terms)``)."""
 
     __slots__ = ("field", "terms")
 
@@ -58,11 +73,85 @@ class NcPoly:
         self.field = field
         self.terms = {}
         if terms:
-            z = field.zero
-            for w, c in terms.items():
-                c = field.of(c) if isinstance(c, int) else c
+            of, z = field.of, field.zero
+            for m, c in terms.items():
+                c = of(c)
                 if c != z:
-                    self.terms[w] = c
+                    self.terms[m] = c
+
+    @staticmethod
+    def _mono_mul(m1, m2):
+        raise NotImplementedError
+
+    def _unit(self):
+        raise NotImplementedError
+
+    def _like(self, terms):
+        raise NotImplementedError
+
+    def is_zero(self):
+        return not self.terms
+
+    def _check(self, other):
+        if self.field != other.field:
+            raise FieldMismatch("operands live over different fields")
+
+    def add(self, other):
+        self._check(other)
+        F = self.field
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            add_term(out, m, c, F)
+        return self._like(out)
+
+    def neg(self):
+        F = self.field
+        return self._like({m: F.neg(c) for m, c in self.terms.items()})
+
+    def sub(self, other):
+        return self.add(other.neg())
+
+    def scale(self, c):
+        F, c = self.field, self.field.of(c)
+        return self._like({m: F.mul(c, a) for m, a in self.terms.items()})
+
+    def mul(self, other):
+        self._check(other)
+        F, mono = self.field, self._mono_mul
+        out = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                add_term(out, mono(m1, m2), F.mul(c1, c2), F)
+        return self._like(out)
+
+    __add__ = add
+    __sub__ = sub
+    __mul__ = mul
+    __rmul__ = scale
+
+    def pow(self, n: int):
+        out = self._like({self._unit(): self.field.one})
+        for _ in range(n):
+            out = out.mul(self)
+        return out
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.field == other.field
+                and self.terms == other.terms)
+
+
+class NcPoly(SparsePoly):
+    """Noncommutative polynomial: zero-free map word -> scalar."""
+
+    __slots__ = ()
+
+    _mono_mul = staticmethod(operator.add)  # words concatenate
+
+    def _unit(self):
+        return ""
+
+    def _like(self, terms):
+        return NcPoly(self.field, terms)
 
     @classmethod
     def zero(cls, field):
@@ -81,72 +170,7 @@ class NcPoly:
         return cls(field, {w: field.one if coeff is None else coeff})
 
     def degree(self):
-        if not self.terms:
-            return NEG_INF
-        return max(len(w) for w in self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def _check(self, other):
-        if self.field != other.field:
-            raise FieldMismatch("operands live over different fields")
-
-    def add(self, other: "NcPoly") -> "NcPoly":
-        self._check(other)
-        F = self.field
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = F.add(out.get(w, F.zero), c)
-            if s == F.zero:
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return NcPoly(F, out)
-
-    def neg(self):
-        F = self.field
-        return NcPoly(F, {w: F.neg(c) for w, c in self.terms.items()})
-
-    def sub(self, other):
-        return self.add(other.neg())
-
-    def scale(self, c) -> "NcPoly":
-        F = self.field
-        c = F.of(c) if isinstance(c, int) else c
-        if c == F.zero:
-            return NcPoly(F)
-        return NcPoly(F, {w: F.mul(c, a) for w, a in self.terms.items()})
-
-    def mul(self, other: "NcPoly") -> "NcPoly":
-        self._check(other)
-        F = self.field
-        out = {}
-        z = F.zero
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = F.add(out.get(w, z), F.mul(c1, c2))
-                if s == z:
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        return NcPoly(F, out)
-
-    __add__ = add
-    __sub__ = sub
-    __mul__ = mul
-    __rmul__ = scale
-
-    def pow(self, n: int) -> "NcPoly":
-        out = NcPoly.one(self.field)
-        for _ in range(n):
-            out = out.mul(self)
-        return out
-
-    def __eq__(self, other):
-        return (isinstance(other, NcPoly) and self.field == other.field
-                and self.terms == other.terms)
+        return max(map(len, self.terms), default=NEG_INF)
 
     def sorted_terms(self, order: WordOrder | None = None):
         order = order or WordOrder()
@@ -156,12 +180,8 @@ class NcPoly:
     def serialize(self, order: WordOrder | None = None) -> str:
         """Canonical text form "c1*w1 + c2*w2 + ..." (words as letters, 1
         for the empty word)."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for w, c in self.sorted_terms(order):
-            parts.append(f"{c}*{w or '1'}")
-        return " + ".join(parts)
+        return " + ".join(f"{c}*{w or '1'}"
+                          for w, c in self.sorted_terms(order)) or "0"
 
     def __repr__(self):
         return f"NcPoly({self.serialize()})"

@@ -1,19 +1,19 @@
 """Dense exact linear algebra over a field object from :mod:`.fields`.
 
-Matrices are lists of row lists of scalars.  Pivoting is deterministic
-(first nonzero entry, columns left to right, rows top down), so all
-outputs are reproducible.
+Matrices are lists of row lists of scalars.  A :class:`Matrix` only holds
+and transposes them; the library needs row reduction (``rref``, ``rank``,
+``kernel``, ``solve``) and ``det``, not matrix products.  Pivoting is
+deterministic (first nonzero entry, columns left to right, rows top
+down), so all outputs are reproducible.
 
-Every row operation (a product row, a scaled pivot row, an elimination
-step) is computed with the plain ``+ - *`` operators on the scalars and
-then passed once through ``field.reduce_row``: one field reduction per
-row, not a field-method call per entry.  The code is the same for F_p
-and Q; only ``reduce_row`` and ``inv`` differ between them.
+Every row operation (a scaled pivot row, an elimination step) is
+computed with the plain ``+ - *`` operators on the scalars and then
+passed once through ``field.reduce_row``: one field reduction per row,
+not a field-method call per entry.  The code is the same for F_p and Q;
+only ``reduce_row`` and ``inv`` differ between them.
 """
 
 from __future__ import annotations
-
-from operator import mul
 
 from .errors import NotSquare
 
@@ -39,32 +39,6 @@ class Matrix:
     def transpose(self):
         return Matrix(self.field, [[self.entries[i][j] for i in range(self.rows)]
                                    for j in range(self.cols)])
-
-    def mul(self, other: "Matrix") -> "Matrix":
-        red = self.field.reduce_row
-        cols = list(zip(*other.entries))
-        return Matrix(self.field, [
-            red([sum(map(mul, row, col)) for col in cols])
-            for row in self.entries])
-
-    def mul_vec(self, v):
-        return self.field.reduce_row([sum(map(mul, row, v))
-                                      for row in self.entries])
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        red = self.field.reduce_row
-        return Matrix(self.field, [red([a - b for a, b in zip(r1, r2)])
-                                   for r1, r2 in zip(self.entries,
-                                                     other.entries)])
-
-    def scale(self, c):
-        red = self.field.reduce_row
-        return Matrix(self.field, [red([c * a for a in row])
-                                   for row in self.entries])
-
-    def is_zero(self):
-        z = self.field.zero
-        return all(a == z for row in self.entries for a in row)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field

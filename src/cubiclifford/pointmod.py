@@ -82,13 +82,6 @@ def solve_next(field, t: PointTriple) -> ProjPoint:
     return nxt
 
 
-def validate_point_sequence(field, points) -> bool:
-    """True iff p_{i+3} = p_i throughout (needs length >= 4)."""
-    if len(points) < 4:
-        raise ValueError("need at least 4 points to test periodicity")
-    return all(points[i + 3] == points[i] for i in range(len(points) - 3))
-
-
 def central_character_diagonal(field, p: ProjPoint) -> CentralPoint:
     """Central character of the diagonal point module at p = (a, b):
     (a^3, a^2 b, a b^2, b^3, 0, 0), always on the singular locus."""

@@ -18,7 +18,7 @@ import heapq
 import itertools
 
 from .errors import BudgetExceeded, DegreeOutOfRange
-from .freealg import NcPoly, WordOrder
+from .freealg import NcPoly, WordOrder, add_term
 
 
 class RewriteRule:
@@ -152,6 +152,8 @@ def _reduce_generic(terms, rules, field):
             continue
         lead, tail = hit
         prefix, suffix = w[:best], w[best + len(lead):]
+        # freealg.add_term inlined: this loop runs for every rewrite step
+        # of every normal form, and its keys are (len, word) pairs
         for tw, tc in tail:
             nw = prefix + tw + suffix
             nkey = (len(nw), nw)
@@ -259,19 +261,11 @@ def _overlaps(l1, t1, l2, t2, degree_bound, F):
             continue
         spoly = {}
         for tw, tc in t1.items():
-            _acc(spoly, tw + suffix, tc, F)
+            add_term(spoly, tw + suffix, tc, F)
         for tw, tc in t2.items():
-            _acc(spoly, prefix + tw, F.neg(tc), F)
+            add_term(spoly, prefix + tw, F.neg(tc), F)
         if spoly:
             yield len(l1) + len(suffix), spoly
-
-
-def _acc(d, w, c, field):
-    s = field.add(d.get(w, field.zero), c)
-    if s != field.zero:
-        d[w] = s
-    else:
-        d.pop(w, None)
 
 
 def hilbert_oracle(n: int) -> int:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import cubiclifford
+from cubiclifford import cli
 from cubiclifford.cli import main
 
 
@@ -217,6 +218,27 @@ def test_unwritable_dump_is_usage_error(capsys, tmp_path):
     assert code == 2
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_unwritable_dump_fails_before_the_build(capsys, tmp_path,
+                                                monkeypatch):
+    def failing_build(field, pt):
+        raise RuntimeError("build_quotient ran")
+
+    monkeypatch.setattr(cli, "build_quotient", failing_build)
+    argv = ["quotient", "--point", "1,0,0,1,4,0", "--dump"]
+    code = main(argv + [str(tmp_path / "missing" / "alg.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    # a build that fails neither creates nor truncates a writable target
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    kept.write_text("old")
+    for dump in (fresh, kept):
+        with pytest.raises(RuntimeError):
+            main(argv + [str(dump)])
+    assert not fresh.exists() and kept.read_text() == "old"
 
 
 def test_human_output(capsys):

@@ -10,7 +10,7 @@ from cubiclifford.commgeo import (CommPoly, central_point, cube_map,
                                   minors, on_twisted_cubic,
                                   singular_locus_membership,
                                   twisted_cubic_point)
-from cubiclifford.errors import ZeroPoint
+from cubiclifford.errors import FieldMismatch, ZeroPoint
 from cubiclifford.freealg import cubic_form_relations
 from cubiclifford.pointmod import proj_point
 
@@ -97,6 +97,20 @@ def test_fraction_inputs_reduce_to_residues(f13):
     from_seven = cubic_form_relations(f13, 7, 7, 7, 7)
     assert [r.terms for r in from_half] == [r.terms for r in from_seven]
     assert [r.terms[""] for r in from_seven] == [6, 6, 5, 5]
+
+
+def test_commpoly_stores_and_evaluates_residues(f13):
+    # 20 and 7 are the same element of F_13, and 1/2 is the residue 7
+    assert CommPoly(f13, 1, {(1,): 20}) == CommPoly(f13, 1, {(1,): 7})
+    assert CommPoly(f13, 1, {(1,): 20}).terms == {(1,): 7}
+    assert CommPoly.var(f13, 1, 0).evaluate([Fraction(1, 2)]) == 7
+
+
+def test_commpoly_rejects_mixed_fields(f13, f31):
+    z13, z31 = CommPoly.var(f13, 2, 0), CommPoly.var(f31, 2, 1)
+    for op in (CommPoly.add, CommPoly.sub, CommPoly.mul):
+        with pytest.raises(FieldMismatch):
+            op(z13, z31)
 
 
 def test_library_formulas_on_the_twisted_cubic_symbolically(rationals):

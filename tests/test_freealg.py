@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -80,6 +81,14 @@ def test_zero_form_relations(f13):
 def test_field_mismatch(f13, f31):
     with pytest.raises(FieldMismatch):
         x(f13).mul(y(f31))
+
+
+def test_fraction_coefficients_become_residues(f13):
+    # 1/2 is the residue 7 in F_13
+    h = Fraction(1, 2)
+    assert NcPoly(f13, {"x": h}).terms == {"x": 7}
+    assert x(f13).scale(h).terms == {"x": 7}
+    assert NcPoly(f13, {"x": h}) == NcPoly(f13, {"x": 20})
 
 
 def test_associativity_random(f13):

@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, and every
 name the library defines is used somewhere in the repository; a method
-only counts as used where its module is, or is imported."""
+only counts as used where its module is, or is imported, or where the
+base-class method it overrides is used."""
 
 import ast
 import re
@@ -104,25 +105,46 @@ def imported_modules(source):
     return out
 
 
+def class_bases(source):
+    """Each module-level class's base-class names and method names."""
+    out = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            bases = [b.id if isinstance(b, ast.Name) else getattr(b, "attr", "")
+                     for b in node.bases]
+            methods = {item.name for item in node.body
+                       if isinstance(item, ast.FunctionDef)}
+            out[node.name] = (bases, methods)
+    return out
+
+
 def unreferenced_definitions(defining, referencing):
     """(module, qualified name) of every name defined in the ``defining``
     sources that none of the ``referencing`` sources uses.  A method
     counts as used only in its own module or in one that imports it: an
-    attribute of the same name read elsewhere belongs to another type."""
+    attribute of the same name read elsewhere belongs to another type.
+    A method that overrides one of a base class (a class of the
+    ``defining`` sources) counts as used wherever the base method is."""
     names = {m: referenced_names(s) for m, s in referencing.items()}
     imports = {m: imported_modules(s) for m, s in referencing.items()}
     used = set().union(*names.values())
+    classes = {cls: (module, bases, methods)
+               for module, source in defining.items()
+               for cls, (bases, methods) in class_bases(source).items()}
 
-    def method_used(module, name):
+    def method_used(module, cls, name):
         stem = Path(module).stem
-        return any(name in names[m] for m in referencing
-                   if m == module or stem in imports[m])
+        return (any(name in names[m] for m in referencing
+                    if m == module or stem in imports[m])
+                or any(base in classes and name in classes[base][2]
+                       and method_used(classes[base][0], base, name)
+                       for base in classes[cls][1]))
 
     return sorted((module, qual)
                   for module, source in defining.items()
                   for qual, name in defined_names(source)
-                  if not (method_used(module, name) if "." in qual
-                          else name in used))
+                  if not (method_used(module, qual.split(".")[0], name)
+                          if "." in qual else name in used))
 
 
 def test_every_library_name_is_referenced():
@@ -136,11 +158,18 @@ def test_every_library_name_is_referenced():
 def test_scanner_flags_unreferenced_definitions():
     lib = ("class A:\n    def used(self): pass\n    def dead(self): pass\n"
            "    def stale(self): pass\n    def __len__(self): return 0\n"
-           "def traced(): pass\ndef orphan(): pass\nclass Gone: pass\n")
-    user = "from lib import A\nA().used()\nTARGETS = ('mod.traced',)\n"
+           "def traced(): pass\ndef orphan(): pass\nclass Gone: pass\n"
+           "class Base:\n    def run(self): return self.hook()\n"
+           "    def hook(self): pass\n")
+    # Sub.hook is called only through Base.run, in lib, which does not
+    # import sub; Sub.spare is called nowhere
+    sub = ("from lib import Base\nclass Sub(Base):\n"
+           "    def hook(self): return 1\n    def spare(self): pass\n")
+    user = ("from lib import A\nA().used()\nTARGETS = ('mod.traced',)\n"
+            "from sub import Sub\nSub().run()\n")
     # reads an attribute named like A.stale without importing lib
     other = "def f(args):\n    return args.stale\n"
-    sources = {"lib": lib, "user": user, "other": other}
-    assert unreferenced_definitions({"lib": lib}, sources) == [
+    sources = {"lib": lib, "sub": sub, "user": user, "other": other}
+    assert unreferenced_definitions({"lib": lib, "sub": sub}, sources) == [
         ("lib", "A.dead"), ("lib", "A.stale"), ("lib", "Gone"),
-        ("lib", "orphan")]
+        ("lib", "orphan"), ("sub", "Sub.spare")]
