@@ -116,32 +116,25 @@ def sample_points(field, n_per_stratum: int = 20, seed: int = 0):
         a, b, c, d = twisted_cubic_point(F, x0, x1)
         cubic.append(central_point(F, a, b, c, d, 0, 0))
 
-    smooth = []
-    guard = 0
-    while len(smooth) < n_per_stratum and guard < 10000:
-        guard += 1
-        a, b, c, d = (rng.randrange(F.p) for _ in range(4))
-        if discriminant_value(F, a, b, c, d) == F.zero:
-            continue
-        fiber = enumerate_center_fiber(F, a, b, c, d)
-        if not fiber:
-            continue
-        smooth.append(fiber[0])
+    def draw(guard, keep):
+        """Up to n_per_stratum fiber points over random (a, b, c, d) that
+        satisfy ``keep``, within ``guard`` draws."""
+        out = []
+        for _ in range(guard):
+            if len(out) == n_per_stratum:
+                break
+            abcd = [rng.randrange(F.p) for _ in range(4)]
+            if keep(abcd):
+                fiber = enumerate_center_fiber(F, *abcd)
+                if fiber:
+                    out.append(fiber[0])
+        return out
 
-    degenerate = []  # D = 0 but off the twisted cubic
-    guard = 0
-    while len(degenerate) < n_per_stratum and guard < 20000:
-        guard += 1
-        a, b, c, d = (rng.randrange(F.p) for _ in range(4))
-        if discriminant_value(F, a, b, c, d) != F.zero:
-            continue
-        if on_twisted_cubic(F, a, b, c, d):
-            continue
-        fiber = enumerate_center_fiber(F, a, b, c, d)
-        if not fiber:
-            continue
-        degenerate.append(fiber[0])
-
+    smooth = draw(10000, lambda abcd: discriminant_value(F, *abcd) != F.zero)
+    # D = 0 but off the twisted cubic
+    degenerate = draw(20000, lambda abcd: (
+        discriminant_value(F, *abcd) == F.zero
+        and not on_twisted_cubic(F, *abcd)))
     return {"cubic": cubic, "smooth": smooth, "degenerate": degenerate}
 
 

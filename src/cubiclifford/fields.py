@@ -94,13 +94,15 @@ class PrimeField:
         return self.mul(a, self.inv(b))
 
     def omega(self) -> int:
-        """Smallest residue that is a primitive cube root of unity."""
+        """Smallest residue that is a primitive cube root of unity: the
+        smaller of w and w^2 = p - 1 - w, with w = g^((p-1)/3) for the
+        first g that is not a cube, so the cost does not grow with p."""
         if not self.has_omega:
             raise NoOmega(f"F_{self.p} has no primitive cube root of unity")
         if self._omega is None:
-            self._omega = next(
-                a for a in range(2, self.p) if pow(a, 3, self.p) == 1
-            )
+            p, e = self.p, (self.p - 1) // 3
+            w = next(x for x in (pow(g, e, p) for g in range(2, p)) if x != 1)
+            self._omega = min(w, p - 1 - w)
         return self._omega
 
     def elements(self):
@@ -128,7 +130,8 @@ class RationalField:
         self.one = Fraction(1)
 
     def of(self, n) -> Fraction:
-        return Fraction(n)
+        """n as a Fraction; a Fraction is returned as it is (immutable)."""
+        return n if isinstance(n, Fraction) else Fraction(n)
 
     def add(self, a, b):
         return a + b

@@ -2,7 +2,7 @@
 
 Matrices are lists of row lists of scalars.  A :class:`Matrix` only holds
 and transposes them; the library needs row reduction (``rref``, ``rank``,
-``kernel``, ``solve``) and ``det``, not matrix products.  Pivoting is
+``kernel``) and ``det``, not matrix products.  Pivoting is
 deterministic (first nonzero entry, columns left to right, rows top
 down), so all outputs are reproducible.
 
@@ -118,15 +118,3 @@ def det(m: Matrix):
                 a[i] = red([e - f * pe for e, pe in zip(a[i], prow)])
     return d
 
-
-def solve(m: Matrix, rhs):
-    """One solution of M x = rhs, or None if inconsistent."""
-    F = m.field
-    aug = Matrix(F, [row + [b] for row, b in zip(m.entries, rhs)])
-    R, rk, pivots = rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [F.zero] * m.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = R.entries[i][m.cols]
-    return x

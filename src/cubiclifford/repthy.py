@@ -11,11 +11,11 @@ the radical, so the unit stays a basis element.  Its table is A's table
 reduced modulo the radical.  The center of any `FinDimAlgebra`
 (`center_basis`) is read from its table.
 
-The Wedderburn split factors the minimal polynomial of a generic central
-element of A/rad over F_p.  The factorizer is in-tree (`_factor_modp`):
-a squarefree test, distinct-degree factorization and Cantor-Zassenhaus
-equal-degree splitting on dense coefficient lists, with no dependency
-beyond the standard library.
+The Wedderburn split needs no polynomial: the elements z of the center
+of A/rad with z^p = z form F_p x ... x F_p, one factor per block
+(Berlekamp), found by linear algebra.  Cantor-Zassenhaus splitting, run
+on powers inside the algebra, turns them into the primitive central
+idempotents, and each one cuts out a block.
 
 The trace used throughout is the regular trace.  On a 9-dimensional
 Azumaya quotient it is 3 times the reduced trace; since the
@@ -28,12 +28,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import mul
 
 from .commgeo import CentralPoint, cube_map
 from .errors import (CharacteristicTooSmall, FieldTooLarge, NotScalar,
                      SplitFailure)
 from .findim import FinDimAlgebra
-from .linalg import Matrix, kernel, rank, rref, solve
+from .linalg import Matrix, kernel, rref
 
 
 @dataclass
@@ -66,30 +67,17 @@ def trace_vector(alg: FinDimAlgebra):
     return out
 
 
-def gram_matrix(alg: FinDimAlgebra, elements) -> Matrix:
-    """[tr(y_i y_j)] for coordinate vectors y_i."""
-    F = alg.field
-    tv = trace_vector(alg)
-    rows = []
-    for u in elements:
-        row = []
-        for v in elements:
-            prod = alg.mul_vec(u, v)
-            t = F.zero
-            for c, tb in zip(prod, tv):
-                if c != F.zero:
-                    t = F.add(t, F.mul(c, tb))
-            row.append(t)
-        rows.append(row)
-    return Matrix(F, rows)
-
-
 def full_gram(alg: FinDimAlgebra) -> Matrix:
-    """Gram matrix of the whole basis, built once per algebra and kept on
-    it as ``alg._full_gram``."""
+    """Gram matrix [tr(e_i e_j)] of the whole basis, each entry the table
+    product e_i e_j dotted with the trace vector; built once per algebra
+    and kept on it as ``alg._full_gram``."""
     g = getattr(alg, "_full_gram", None)
     if g is None:
-        g = alg._full_gram = gram_matrix(alg, alg.basis_vectors())
+        F = alg.field
+        tv = trace_vector(alg)
+        g = alg._full_gram = Matrix(F, [
+            F.reduce_row([sum(map(mul, prod, tv)) for prod in row])
+            for row in alg.table])
     return g
 
 
@@ -183,192 +171,86 @@ def center_basis(alg: FinDimAlgebra):
     return kernel(Matrix(F, rows))
 
 
-# -- polynomial helpers over F_p (dense coefficient lists, low to high) ---
-
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pdivmod(a, b, p):
-    a = list(a)
-    q = [0] * max(1, len(a) - len(b) + 1)
-    db, lb = len(b) - 1, b[-1]
-    inv = pow(lb, p - 2, p)
-    while len(a) - 1 >= db and a:
-        da = len(a) - 1
-        c = a[-1] * inv % p
-        q[da - db] = c
-        for i in range(db + 1):
-            a[da - db + i] = (a[da - db + i] - c * b[i]) % p
-        _ptrim(a)
-    return _ptrim(q), a
-
-
-def _pmod(a, b, p):
-    return _pdivmod(a, b, p)[1]
-
-
-def _pgcd(a, b, p):
-    """Monic gcd of a and b."""
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
-
-
-def _psub(a, b, p):
-    return _ptrim([(x - y) % p for x, y in _zip_pad(a, b)])
-
-
-def _ppowmod(a, e, f, p):
-    """a^e mod f, by square-and-multiply."""
-    out, a = [1], _pmod(a, f, p)
+def _power(alg: FinDimAlgebra, v, e):
+    """v^e, by square-and-multiply."""
+    out = alg.unit_vector()
     while e:
         if e & 1:
-            out = _pmod(_pmul(out, a, p), f, p)
+            out = alg.mul_vec(out, v)
         e >>= 1
         if e:
-            a = _pmod(_pmul(a, a, p), f, p)
+            v = alg.mul_vec(v, v)
     return out
 
 
-def _factor_modp(coeffs, p):
-    """Irreducible factors (monic, low-to-high coefficient lists) of a
-    monic polynomial over F_p, p odd, or None if it is not squarefree.
-
-    Squarefree means gcd(f, f') = 1; this also rejects f' = 0, i.e.
-    f = g(x^p).  Distinct-degree factorization then splits off
-    g_k = gcd(f, x^(p^k) - x), the product of the degree-k factors, and
-    Cantor-Zassenhaus splits each g_k by gcd(g_k, t^((p^k - 1)/2) - 1)
-    for random t (Math. Comp. 36, 1981).  The splitters come from a local
-    fixed-seed generator, so the result is deterministic and no caller's
-    random sequence is consumed.
-    """
-    f = [c % p for c in coeffs]
-    deriv = _ptrim([i * c % p for i, c in enumerate(f)][1:])
-    if len(_pgcd(f, deriv, p)) != 1:
-        return None
-    rng = random.Random(0)
-    factors = []
-    h = [0, 1]  # x^(p^k), reduced modulo the input polynomial
-    k = 1
-    while 2 * k <= len(f) - 1:
-        h = _ppowmod(h, p, f, p)
-        g = _pgcd(f, _psub(h, [0, 1], p), p)
-        if len(g) > 1:
-            factors.extend(_split_equal_degree(g, k, p, rng))
-            f = _pdivmod(f, g, p)[0]
-        k += 1
-    if len(f) > 1:
-        factors.append(f)
-    return factors
+def _span(F, vectors):
+    """Reduced echelon basis of the span of the vectors."""
+    R, rk, _ = rref(Matrix(F, vectors))
+    return R.entries[:rk]
 
 
-def _split_equal_degree(g, k, p, rng):
-    """Factors of a squarefree monic g whose irreducible factors all have
-    degree k (Cantor-Zassenhaus, p odd)."""
-    if len(g) - 1 == k:
-        return [g]
-    e = (p ** k - 1) // 2
-    while True:
-        t = _ptrim([rng.randrange(p) for _ in range(len(g) - 1)])
-        d = _pgcd(g, _psub(_ppowmod(t, e, g, p), [1], p), p)
-        if 1 < len(d) < len(g):
-            return (_split_equal_degree(d, k, p, rng)
-                    + _split_equal_degree(_pdivmod(g, d, p)[0], k, p, rng))
+def _combine(F, coeffs, vectors):
+    """sum_i coeffs[i] * vectors[i]."""
+    return F.reduce_row([sum(map(mul, coeffs, col)) for col in zip(*vectors)])
 
 
-def _min_poly(alg: FinDimAlgebra, v):
-    """Minimal polynomial of v, low-to-high coefficient list: the powers
-    1, v, v^2, ... are taken until ``solve`` writes v^d as a combination
-    c_0 + c_1 v + ... + c_{d-1} v^(d-1) of the lower ones, and the result
-    is x^d - c_{d-1} x^(d-1) - ... - c_0."""
-    F = alg.field
-    powers = [alg.unit_vector()]
-    while True:
-        cur = alg.mul_vec(powers[-1], v)
-        sol = solve(Matrix(F, powers).transpose(), cur)
-        if sol is not None:
-            return [int(F.neg(c)) for c in sol] + [1]
-        powers.append(cur)
-
-
-#: Random central elements ``wedderburn_blocks`` tries before it gives up
-#: on finding one that generates the center of A/rad.
+#: Random draws ``wedderburn_blocks`` tries on one idempotent before it
+#: gives up on splitting it.
 SPLIT_ATTEMPTS = 40
 
 
 def wedderburn_blocks(alg: FinDimAlgebra, seed: int = 0) -> BlockStructure:
-    """Radical, then split A/rad into the blocks of its center, found from
-    a seeded random generating central element v."""
+    """Radical, then split A/rad into its blocks by the primitive
+    idempotents of its center Z, with no polynomial arithmetic.
+
+    Frobenius z -> z^p is additive on the commutative Z, so its fixed
+    part B = {z : z^p = z} is a kernel; it is F_p x ... x F_p with one
+    factor per block (Berlekamp, Math. Comp. 24, 1970).  Starting from
+    the idempotent 1, an idempotent e with dim(B e) > 1 is split by a
+    seeded random b in B e: u = b^((p-1)/2) is 0 or +-1 on each block, so
+    f = (u^2 + u)/2 is a sub-idempotent of e, proper unless the draw is
+    unlucky (Cantor-Zassenhaus run inside the algebra, Math. Comp. 36,
+    1981).  A primitive e is one block M_n(F_{p^k}), with k = dim(Z e)
+    and n^2 k = dim((A/rad) e).
+    """
     F = alg.field
     p = F.p
     quot = radical_quotient(alg)
     zbasis = center_basis(quot)
-    zdim = len(zbasis)
+    frob = [F.reduce_row([a - b for a, b in zip(_power(quot, z, p), z)])
+            for z in zbasis]
+    fixed = [_combine(F, c, zbasis)
+             for c in kernel(Matrix(F, frob).transpose())]
+    half = F.inv(2)
     rng = random.Random(seed)
-    for _ in range(SPLIT_ATTEMPTS):
-        v = [F.zero] * quot.dim
-        for zb in zbasis:
-            c = rng.randrange(p)
-            v = [F.add(a, F.mul(F.of(c), b)) for a, b in zip(v, zb)]
-        m = _min_poly(quot, v)
-        if len(m) - 1 != zdim:
-            continue
-        factors = _factor_modp(m, p)
-        if factors is None:
-            continue  # not squarefree: not a generator, reseed
-        # m is squarefree, so k[v] = (+)_j F_p[x]/(mj) with pairwise
-        # coprime mj, and hi = m / mi is 0 in every summand but the i-th,
-        # where it is a unit: (A/rad) hi(v) is the i-th block
-        blocks = []
-        for mi in factors:
-            k = len(mi) - 1
-            hi, _ = _pdivmod(m, mi, p)
-            e = _poly_eval_alg(quot, hi, v)
-            span = [quot.mul_vec(b, e) for b in quot.basis_vectors()]
-            bdim = rank(Matrix(F, span))
-            n2 = bdim // k
-            n = math.isqrt(n2)
+    blocks = []
+    todo = [quot.unit_vector()]
+    while todo:
+        e = todo.pop()
+        fixed_e = _span(F, [quot.mul_vec(b, e) for b in fixed])
+        if len(fixed_e) == 1:
+            k = len(_span(F, [quot.mul_vec(z, e) for z in zbasis]))
+            bdim = len(_span(F, [quot.mul_vec(b, e)
+                                 for b in quot.basis_vectors()]))
+            n = math.isqrt(bdim // k)
             if n * n * k != bdim:
                 raise SplitFailure(
                     f"block of dim {bdim} incompatible with center degree {k}")
             blocks.append((n, k))
-        blocks.sort()
-        return BlockStructure(blocks=blocks,
-                              radical_dim=alg.dim - quot.dim)
-    raise SplitFailure("no generating central element found within budget")
-
-
-def _poly_eval_alg(alg: FinDimAlgebra, coeffs, v):
-    F = alg.field
-    out = [F.zero] * alg.dim
-    power = alg.unit_vector()
-    for c in coeffs:
-        if c:
-            out = [F.add(a, F.mul(F.of(c), b)) for a, b in zip(out, power)]
-        power = alg.mul_vec(power, v)
-    return out
+            continue
+        for _ in range(SPLIT_ATTEMPTS):
+            b = _combine(F, [rng.randrange(p) for _ in fixed_e], fixed_e)
+            u = _power(quot, b, (p - 1) // 2)
+            f = F.reduce_row([half * (s + t)
+                              for s, t in zip(quot.mul_vec(u, u), u)])
+            if any(f) and f != e:
+                break
+        else:
+            raise SplitFailure(
+                f"no splitting draw found within {SPLIT_ATTEMPTS} attempts")
+        todo += [f, F.reduce_row([a - c for a, c in zip(e, f)])]
+    blocks.sort()
+    return BlockStructure(blocks=blocks, radical_dim=alg.dim - quot.dim)
 
 
 # -- brute-force representation searches ---------------------------------

@@ -25,6 +25,17 @@ def test_excluded_characteristics():
 def test_cube_root_of_unity_values():
     assert make_field("prime", 13).omega() == 3
     assert make_field("prime", 7).omega() == 2
+    for p in (19, 31, 37, 43, 10009):
+        assert make_field("prime", p).omega() == next(
+            a for a in range(2, p) if pow(a, 3, p) == 1)
+
+
+def test_omega_at_large_prime_needs_no_scan():
+    # the smallest primitive cube root mod 10^9 + 9 is about 1.2e8, so a
+    # scan of F_p would take minutes
+    p = 1000000009
+    w = make_field("prime", p).omega()
+    assert pow(w, 3, p) == 1 and w != 1 and w < p - 1 - w
 
 
 def test_no_omega():
@@ -59,6 +70,17 @@ def test_omega_relations(p):
     assert F.mul(F.mul(w, w), w) == F.one
     # 1 + w + w^2 = 0
     assert F.add(F.one, F.add(w, F.mul(w, w))) == F.zero
+
+
+def test_of_keeps_fractions():
+    # Q returns a Fraction unchanged; F_p still reduces one
+    Q = make_field("rational")
+    x = Fraction(-7, 3)
+    assert Q.of(x) is x
+    assert Q.of(4) == Fraction(4) and type(Q.of(4)) is Fraction
+    F = make_field("prime", 13)
+    assert F.of(Fraction(1, 2)) == 7
+    assert F.of(Fraction(-7, 3)) == F.div(F.of(-7), 3)
 
 
 def test_reduce_row():

@@ -4,10 +4,12 @@ import random
 import pytest
 
 from cubiclifford import repthy
-from cubiclifford.commgeo import central_point, enumerate_center_fiber
-from cubiclifford.errors import FieldTooLarge, NotScalar
+from cubiclifford.commgeo import (central_point, enumerate_center_fiber,
+                                  twisted_cubic_point)
+from cubiclifford.errors import CharacteristicTooSmall, FieldTooLarge, NotScalar
 from cubiclifford.disc import sample_points
-from cubiclifford.findim import build_quotient, check_unit_and_associativity
+from cubiclifford.findim import (FinDimAlgebra, build_quotient,
+                                check_unit_and_associativity)
 from cubiclifford.fields import make_field
 from cubiclifford.freealg import NcPoly
 from cubiclifford.linalg import Matrix, kernel, rank, rref
@@ -158,7 +160,46 @@ def test_smooth_blocks_over_f31(f31):
     assert bs.irrep_dims() == [3]
 
 
-# -- factorization over F_p against a table built by multiplication --------
+def test_noncube_cone_point_is_one_cubic_field_block(f13):
+    # 2 is not a cube mod 13, so the three characters (a, 0) with a^3 = 2
+    # are conjugate over F_13: A/rad = F_{13^3}, one block of degree 3
+    pt = central_point(f13, 2, 0, 0, 0, 0, 0)
+    bs = wedderburn_blocks(build_quotient(f13, pt))
+    assert bs.blocks == [(1, 3)]
+    assert bs.irrep_dims() == [1, 1, 1]
+    assert bs.radical_dim == 12
+    assert search_irreps_dim1(f13, pt) == []
+
+
+def test_noncube_cone_point_over_large_prime():
+    # no step of the split may cost O(p): at p = 10^9 + 9 (1 mod 3, and 2
+    # is not a cube) the same point is one block over F_{p^3}
+    F = make_field("prime", 1000000009)
+    assert pow(2, (F.p - 1) // 3, F.p) != 1
+    alg = build_quotient(F, central_point(F, 2, 0, 0, 0, 0, 0))
+    assert wedderburn_blocks(alg).blocks == [(1, 3)]
+
+
+def test_cone_points_f7_blocks_match_dim1_search(f7):
+    # every point lambda * (x0^3, x0^2 x1, x0 x1^2, x1^3) of the cone over
+    # the twisted cubic: three characters over the closure, all rational
+    # (three (1, 1) blocks) or all conjugate (one (1, 3) block)
+    lines = [(1, t) for t in range(7)] + [(0, 1)]
+    seen = set()
+    for lam in range(1, 7):
+        for x0, x1 in lines:
+            coords = [lam * c for c in twisted_cubic_point(f7, x0, x1)]
+            pt = central_point(f7, *coords, 0, 0)
+            blocks = wedderburn_blocks(build_quotient(f7, pt)).blocks
+            rational = len(search_irreps_dim1(f7, pt))
+            assert blocks.count((1, 1)) == rational in (0, 3), pt
+            assert sum(k for _, k in blocks) == 3, pt
+            seen.add(tuple(blocks))
+    assert seen == {((1, 1),) * 3, ((1, 3),)}
+
+
+# -- factorization over F_p, read from the Wedderburn split of F_p[t]/(f)
+# and checked against a table built by multiplication -----------------------
 
 
 def _mul(a, b, p):
@@ -204,13 +245,27 @@ def _factorization_table(p, max_deg):
     return irreducibles, table
 
 
+def _poly_algebra(F, f):
+    """F_p[t]/(f) for a monic f (low-to-high tuple) as a FinDimAlgebra on
+    the words '', 't', 'tt', ...: table[i][j] is t^(i+j) reduced mod f."""
+    p, d = F.p, len(f) - 1
+    powers = [[1] + [0] * (d - 1)]
+    for _ in range(2 * d - 2):
+        v = powers[-1]
+        # t * v, with t^d replaced by -(f_0 + ... + f_(d-1) t^(d-1))
+        powers.append([(a - v[-1] * c) % p for a, c in zip([0] + v[:-1], f)])
+    return FinDimAlgebra(F, None, ["t" * i for i in range(d)],
+                         [[powers[i + j] for j in range(d)]
+                          for i in range(d)])
+
+
 def _check_factorization(f, factors, p):
-    got = repthy._factor_modp(list(f), p)
-    if len(set(factors)) < len(factors):
-        assert got is None, f
-    else:
-        assert got is not None, f
-        assert sorted(map(tuple, got)) == sorted(factors), f
+    """F_p[t]/(f) is the product of F_p[t]/(g^m) over the factors g^m of
+    f: one block (1, deg g) per distinct g, and the rest is radical."""
+    distinct = set(factors)
+    bs = wedderburn_blocks(_poly_algebra(make_field("prime", p), f))
+    assert bs.blocks == sorted((1, len(g) - 1) for g in distinct), f
+    assert bs.radical_dim == len(f) - 1 - sum(len(g) - 1 for g in distinct), f
 
 
 @pytest.fixture(scope="module")
@@ -227,30 +282,44 @@ def test_irreducible_counts(factor_tables, p, counts):
 
 
 def test_factor_modp_exhaustive(factor_tables):
-    # every monic of degree <= 4 over F_7 and of degree <= 3 over F_13
-    for p, max_deg in ((7, 4), (13, 3)):
+    # every monic of degree <= 3 over F_7 and of degree <= 2 over F_13,
+    # and every F_7 quartic with a repeated factor (a nonzero radical)
+    for p, max_deg in ((7, 3), (13, 2)):
         for f, factors in factor_tables[p][1].items():
             if len(f) - 1 <= max_deg:
                 _check_factorization(f, factors, p)
+    repeated = [(f, factors) for f, factors in factor_tables[7][1].items()
+                if len(f) == 5 and len(set(factors)) < len(factors)]
+    assert len(repeated) == 7 ** 3  # p^4 - p^3 of the p^4 are squarefree
+    for f, factors in repeated:
+        _check_factorization(f, factors, 7)
 
 
 def test_factor_modp_sampled_quartics_f13(factor_tables):
     table = factor_tables[13][1]
     quartics = sorted(f for f in table if len(f) == 5)
-    for f in random.Random(7).sample(quartics, 800):
+    for f in random.Random(7).sample(quartics, 300):
         _check_factorization(f, table[f], 13)
 
 
-def test_factor_modp_rejects_zero_derivative():
-    # x^7 - 1 = (x - 1)^7 over F_7, and its derivative is 0
-    assert repthy._factor_modp([6, 0, 0, 0, 0, 0, 0, 1], 7) is None
+def test_factor_modp_rejects_zero_derivative(f7):
+    # x^7 - 1 = (x - 1)^7 over F_7 has derivative 0; F_7[t]/(f) has
+    # dimension p and an all-zero trace form, and its trace kernel (the
+    # whole algebra) is no nilpotent ideal, so the radical is refused
+    alg = _poly_algebra(f7, (6, 0, 0, 0, 0, 0, 0, 1))
+    assert not any(map(any, full_gram(alg).entries))
+    with pytest.raises(CharacteristicTooSmall):
+        radical(alg)
+    with pytest.raises(CharacteristicTooSmall):
+        wedderburn_blocks(alg)
 
 
-def test_factor_modp_two_quadratics_need_degree_two_split():
+def test_factor_modp_two_quadratics_need_degree_two_split(f7):
     # 3 and 5 are non-squares mod 7: x^2 - 3 and x^2 - 5 are irreducible,
-    # and only the k = 2 equal-degree split separates them
-    f = list(_mul((4, 0, 1), (2, 0, 1), 7))
-    assert sorted(repthy._factor_modp(f, 7)) == [[2, 0, 1], [4, 0, 1]]
+    # and F_7[t]/(f) = F_49 x F_49 has two blocks of center degree 2
+    f = _mul((4, 0, 1), (2, 0, 1), 7)
+    assert wedderburn_blocks(_poly_algebra(f7, f)).blocks == [(1, 2), (1, 2)]
+    _check_factorization(f, ((4, 0, 1), (2, 0, 1)), 7)
 
 
 def test_factor_modp_large_prime_products():
@@ -259,7 +328,7 @@ def test_factor_modp_large_prime_products():
     # (10009 = 1 mod 3)
     p = 10009
     rng = random.Random(10009)
-    for _ in range(20):
+    for _ in range(6):
         factors = set()
         for deg in (1, 1, 2, 2, 3):
             s = rng.randrange(p)
@@ -278,8 +347,7 @@ def test_factor_modp_large_prime_products():
         f = (1,)
         for g in factors:
             f = _mul(f, g, p)
-        got = repthy._factor_modp(list(f), p)
-        assert sorted(map(tuple, got)) == sorted(factors)
+        _check_factorization(f, tuple(factors), p)
 
 
 # -- reference radical certificate: a full rank computation per product --
