@@ -1,6 +1,10 @@
 """Structure theory of the finite-dimensional quotients: trace forms,
-Jacobson radical, Wedderburn block decomposition, and the brute-force
-representation searches in dimensions one and two.
+Jacobson radical, Wedderburn block decomposition, the brute-force
+representation searches in dimensions one and two, and the
+Cayley-Hamilton certificate that C has no 2-dimensional irreducible
+representation in any characteristic.  The certificate is what
+``verify-all`` runs; the exhaustive dim-2 sweep, capped at
+``DIM2_MAX_P``, is the independent second route behind ``search-dim2``.
 
 A/rad is itself a `FinDimAlgebra` (`radical_quotient`).  Its basis is
 the low-degree normal words of A: those at the columns that are not
@@ -28,12 +32,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import reduce
 from operator import mul
 
-from .commgeo import CentralPoint, cube_map
+from .commgeo import CentralPoint, CommPoly, cube_map
 from .errors import (CharacteristicTooSmall, FieldTooLarge, NotScalar,
                      SplitFailure)
 from .findim import FinDimAlgebra
+from .freealg import clifford_relations
 from .linalg import Matrix, kernel, rref
 
 
@@ -253,11 +259,83 @@ def wedderburn_blocks(alg: FinDimAlgebra, seed: int = 0) -> BlockStructure:
     return BlockStructure(blocks=blocks, radical_dim=alg.dim - quot.dim)
 
 
+# -- dimension two: the Cayley-Hamilton certificate ----------------------
+
+
+def dim2_relation_scalars(s, t, dx, dy, tau):
+    """The scalars g with rel(X, Y) = g [X, Y] for 2 x 2 matrices, one per
+    defining relation in the order of ``clifford_relations``, in s = tr X,
+    t = tr Y, dx = det X, dy = det Y and tau = tr XY, over any ring with
+    ``+ - *``."""
+    return s * s - dx, s * t + tau, t * t - dy
+
+
+def dim2_det_bracket(s, t, dx, dy, tau):
+    """-det [X, Y] for 2 x 2 matrices, in the invariants of
+    ``dim2_relation_scalars``, over any ring with ``+ - *``."""
+    return tau * tau - s * t * tau + s * s * dy + t * t * dx - 4 * dx * dy
+
+
+def _m2_mul(a, b):
+    """Product of two 2 x 2 matrices, as row-major 4-tuples."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 + a1 * b2, a0 * b1 + a1 * b3,
+            a2 * b0 + a3 * b2, a2 * b1 + a3 * b3)
+
+
+def dim2_certificate(field) -> bool:
+    """True iff the identities below hold over ``field``, which proves
+    that C has no 2-dimensional irreducible representation over the
+    algebraic closure of ``field``.
+
+    For 2 x 2 matrices Cayley-Hamilton gives X^2 = s X - dx, so each
+    defining relation at (X, Y) is g K for K = [X, Y] and the scalar g of
+    ``dim2_relation_scalars``; and det K = -``dim2_det_bracket``.  Two
+    2 x 2 matrices share an eigenvector iff det K = 0, and otherwise they
+    generate M_2 (Burnside).  So an irreducible representation has
+    K != 0, hence every g = 0, that is dx = s^2, tau = -s t and dy = t^2
+    (each g is its own invariant, up to sign, plus a polynomial in s and
+    t); there the bracket vanishes, so det K = 0 after all.
+
+    Checked as polynomial identities: the relations from
+    ``clifford_relations`` evaluated at generic X, Y with CommPoly entries
+    in 8 variables; det K against the bracket; and, in the 2 variables
+    s, t, that the scalars and the bracket vanish at dx = s^2, dy = t^2,
+    tau = -s t.  Every identity has integer coefficients, so it holds over
+    Q and in every characteristic p alike.
+    """
+    F = field
+    xs = [CommPoly.var(F, 8, i) for i in range(8)]
+    X, Y = tuple(xs[:4]), tuple(xs[4:])
+    mats = {"x": X, "y": Y}
+    XY = _m2_mul(X, Y)
+    K = [a - b for a, b in zip(XY, _m2_mul(Y, X))]
+    inv = (X[0] + X[3], Y[0] + Y[3], X[0] * X[3] - X[1] * X[2],
+           Y[0] * Y[3] - Y[1] * Y[2], XY[0] + XY[3])
+    zero = CommPoly.zero(F, 8)
+    for rel, g in zip(clifford_relations(F), dim2_relation_scalars(*inv)):
+        value = [zero] * 4
+        for word, c in rel.terms.items():
+            m = reduce(_m2_mul, (mats[a] for a in word))
+            value = [v + e.scale(c) for v, e in zip(value, m)]
+        if value != [g * k for k in K]:
+            return False
+    if not (K[0] * K[3] - K[1] * K[2] + dim2_det_bracket(*inv)).is_zero():
+        return False
+    s, t = (CommPoly.var(F, 2, i) for i in range(2))
+    at = (s, t, s * s, t * t, (s * t).neg())
+    return all(g.is_zero()
+               for g in (*dim2_relation_scalars(*at), dim2_det_bracket(*at)))
+
+
 # -- brute-force representation searches ---------------------------------
 
 
-#: Largest prime the dim-2 search accepts: it sweeps p^4 matrices Y for
-#: each of the p canonical X, about 2.9e7 candidates at p = 31.
+#: Largest prime the dim-2 sweep ``search_irreps_dim2`` accepts: it
+#: sweeps p^4 matrices Y for each of the p canonical X, about 2.9e7
+#: candidates at p = 31.  The cap bounds only that sweep (``search-dim2``);
+#: ``dim2_certificate`` answers the same question at every prime.
 DIM2_MAX_P = 31
 
 

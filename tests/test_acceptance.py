@@ -22,7 +22,8 @@ from cubiclifford.pointmod import (PointTriple, abc_system_admits_solution,
                                    gamma_squared_identity_symbolic,
                                    predict_simple_quotient, solve_next)
 from cubiclifford.commgeo import singular_locus_membership
-from cubiclifford.repthy import search_irreps_dim1, search_irreps_dim2
+from cubiclifford.repthy import (dim2_certificate, search_irreps_dim1,
+                                 search_irreps_dim2)
 from cubiclifford.rewrite import hilbert_oracle
 
 
@@ -105,13 +106,15 @@ def test_criterion_05_singular_locus(capsys, f13, f31):
            "only on the cone over the twisted cubic")
 
 
-def test_criterion_06_no_dim2_irreps(capsys, f7, f13):
+def test_criterion_06_no_dim2_irreps(capsys, f7, f13, rationals):
     res7 = search_irreps_dim2(f7)
     res13 = search_irreps_dim2(f13)
-    ok = (res7["irreducible_pairs"] == [] and res13["irreducible_pairs"] == [])
+    ok = (dim2_certificate(rationals) and res7["irreducible_pairs"] == []
+          and res13["irreducible_pairs"] == [])
     report(capsys, 6, ok,
-           "exhaustive sweeps over F_7 and F_13 find no 2-dimensional "
-           "irreducible representation")
+           "no 2-dimensional irreducible representation, in every "
+           "characteristic (certificate) and by exhaustive sweeps over F_7 "
+           "and F_13")
 
 
 def test_criterion_07_fiber_dimensions(capsys, f13, f31):

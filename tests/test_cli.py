@@ -174,13 +174,12 @@ def test_verify_all_and_determinism(capsys):
     assert "skipped" not in payload
 
 
-def test_verify_all_names_skipped_check_above_dim2_cap(capsys):
-    # 37 > DIM2_MAX_P: the dim-2 search is not run, and the output says so
-    code, out = run(capsys, "verify-all", "--prime", "37", "--seed", "0")
+def test_verify_all_checks_dim2_above_sweep_cap(capsys):
+    # 37 > DIM2_MAX_P: the certificate, not the sweep, decides the claim
+    code, payload = run_json(capsys, "verify-all", "--prime", "37")
     assert code == 0
-    payload = json.loads(out)
-    assert payload["skipped"] == ["no_dim2_irreps"]
-    assert "no_dim2_irreps" not in payload["results"]
+    assert payload["results"]["no_dim2_irreps"] is True
+    assert "skipped" not in payload
     assert payload["ok"] and all(payload["results"].values())
 
 

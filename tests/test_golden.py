@@ -3,8 +3,7 @@
 
 The benchmark replays the same argument lists in fresh processes and
 counts a digest mismatch as a failed operation; this test catches the
-drift in-process, through ``cli.main``.  ``verify-all`` runs at one seed
-only, since every seed repeats the same dim-2 search.
+drift in-process, through ``cli.main``.
 """
 
 import contextlib
@@ -33,11 +32,8 @@ def test_recorded_stdout_digests(monkeypatch):
     inputs = _inputs()
     golden = json.loads((PERFBENCH / "golden.json").read_text())
     golden = golden["stdout_sha256"]
-    argvs = {inputs.key(argv): argv for argv in inputs.recorded_argvs()
-             if argv[0] != "verify-all"}
-    verify = inputs.verify_all_argv(0)
-    argvs[inputs.key(verify)] = verify
-    assert len(argvs) == 112
+    argvs = {inputs.key(argv): argv for argv in inputs.recorded_argvs()}
+    assert len(argvs) == len(golden) == 119
     mismatched = []
     for key, argv in argvs.items():
         out = io.StringIO()

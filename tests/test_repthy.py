@@ -1,9 +1,11 @@
 import itertools
+import json
 import random
 
 import pytest
 
 from cubiclifford import repthy
+from cubiclifford.cli import main as cli_main
 from cubiclifford.commgeo import (central_point, enumerate_center_fiber,
                                   twisted_cubic_point)
 from cubiclifford.errors import CharacteristicTooSmall, FieldTooLarge, NotScalar
@@ -11,9 +13,10 @@ from cubiclifford.disc import sample_points
 from cubiclifford.findim import (FinDimAlgebra, build_quotient,
                                 check_unit_and_associativity)
 from cubiclifford.fields import make_field
-from cubiclifford.freealg import NcPoly
+from cubiclifford.freealg import NcPoly, clifford_relations
 from cubiclifford.linalg import Matrix, kernel, rank, rref
 from cubiclifford.repthy import (DIM2_MAX_P, BlockStructure, center_basis,
+                                 dim2_certificate, dim2_relation_scalars,
                                  dim2_x_forms, full_gram, radical,
                                  radical_quotient, search_irreps_dim1,
                                  search_irreps_dim2, trace_vector,
@@ -589,6 +592,59 @@ def test_search_dim2_cap():
         search_irreps_dim2(make_field("prime", 10009))
     with pytest.raises(FieldTooLarge):
         search_irreps_dim2(make_field("prime", 37))
+
+
+@pytest.mark.parametrize("kind, p", [("rational", None), ("prime", 13),
+                                     ("prime", 10009)])
+def test_dim2_certificate_holds(kind, p):
+    assert dim2_certificate(make_field(kind, p)) is True
+
+
+def _flip_mixed_sign(field):
+    rels = clifford_relations(field)
+    rels[1] = rels[1].sub(NcPoly.word(field, "xyxy", 2))
+    return rels
+
+
+def _wrong_third_scalar(s, t, dx, dy, tau):
+    return s * s - dx, s * t + tau, t * t + dy
+
+
+@pytest.mark.parametrize("name, mutant", [
+    ("clifford_relations", _flip_mixed_sign),
+    ("dim2_relation_scalars", _wrong_third_scalar)])
+def test_dim2_certificate_rejects_mutants(f13, capsys, monkeypatch, name,
+                                          mutant):
+    monkeypatch.setattr(repthy, name, mutant)
+    assert dim2_certificate(f13) is False
+    assert cli_main(["verify-all", "--prime", "13"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["results"]["no_dim2_irreps"] is False
+    assert not payload["ok"]
+
+
+@pytest.mark.parametrize("p, solutions", [(7, 931), (13, 6253)])
+def test_dim2_identities_predict_sweep_count(p, solutions):
+    # the solutions the identities predict for each canonical X: the p^2
+    # Y commuting with X, and the Y with K = [X, Y] != 0 at which every
+    # relation scalar vanishes.  The sweep finds the same number
+    # (test_search_dim2_empty, test_search_dim2_counts_f13).
+    F = make_field("prime", p)
+    total = 0
+    for x0, x1, x2, x3 in dim2_x_forms(F):
+        s, dx, dd = x0 + x3, x0 * x3 - x1 * x2, x0 - x3
+        commuting = 0
+        for y0, y1, y2, y3 in itertools.product(range(p), repeat=4):
+            if not ((x1 * y2 - x2 * y1) % p or (dd * y1 - x1 * (y0 - y3)) % p
+                    or (x2 * (y0 - y3) - dd * y2) % p):
+                commuting += 1
+                continue
+            tau = x0 * y0 + x1 * y2 + x2 * y1 + x3 * y3
+            g = dim2_relation_scalars(s, y0 + y3, dx, y0 * y3 - y1 * y2, tau)
+            total += not any(v % p for v in g)
+        assert commuting == p * p
+        total += commuting
+    assert total == solutions
 
 
 def test_search_dim1_at_singular_points(f13):
