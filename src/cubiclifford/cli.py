@@ -19,13 +19,13 @@ from .commgeo import (CentralPoint, central_point, delta_partials,
                       discriminant_value, enumerate_center_fiber,
                       on_twisted_cubic, point_on_fiber,
                       singular_locus_membership, twisted_cubic_point)
-from .disc import locus_profile, sample_locus
+from .disc import locus_profile, sample_locus, trichotomy_holds
 from .errors import CubicliffordError
 from .fields import make_field
 from .findim import build_quotient, check_unit_and_associativity, reduce_center_images
 from .freealg import clifford_relations, parse_poly
 from .pointmod import (PointTriple, abc_system_admits_solution,
-                       all_proj_points, central_character_diagonal,
+                       central_character_diagonal,
                        gamma_invariants, predict_simple_quotient, proj_point,
                        solve_next)
 from .repthy import dim2_certificate, search_irreps_dim1, search_irreps_dim2
@@ -283,7 +283,8 @@ def cmd_verify_all(args):
         and profc.sum_squares == 3)
 
     triple_ok = True
-    pts = all_proj_points(field)[:5]
+    # five distinct points of P^1, since p >= 5
+    pts = [proj_point(field, 1, b) for b in range(5)]
     for p0 in pts:
         for p1 in pts:
             tri = PointTriple(p0, p1, pts[0])
@@ -294,12 +295,7 @@ def cmd_verify_all(args):
     results["point_variety"] = triple_ok
 
     locus = sample_locus(field, [3, 5, 12], n_per_stratum=3, seed=args.seed)
-    results["trichotomy"] = (
-        all(v["members"] == 0 for v in locus[3].values())
-        and locus[5]["cubic"]["members"] == 3
-        and locus[5]["smooth"]["members"] == 0
-        and locus[5]["degenerate"]["members"] == 0
-        and all(v["members"] == v["total"] for v in locus[12].values()))
+    results["trichotomy"] = trichotomy_holds(locus, 3)
 
     ok = all(results.values())
     payload = {"prime": args.prime, "seed": args.seed, "results": results}

@@ -162,3 +162,19 @@ def sample_locus(field, ells, n_per_stratum: int = 10, seed: int = 0):
             per[name] = {"members": members, "total": len(profs)}
         report[ell] = per
     return report
+
+
+def trichotomy_holds(report, n_per_stratum: int) -> bool:
+    """The trichotomy on a ``sample_locus`` report: no sampled point lies
+    on the zero set of MD_ell for ell <= 3, exactly the twisted-cubic
+    points do for 4 <= ell <= 9, and every point does for ell >= 10.
+    False when a stratum holds fewer than ``n_per_stratum`` points, since
+    "none" and "all" hold vacuously on an empty stratum."""
+    for ell, per in report.items():
+        for name, r in per.items():
+            if r["total"] < n_per_stratum:
+                return False
+            everywhere = ell >= 10 or (ell > 3 and name == "cubic")
+            if r["members"] != (r["total"] if everywhere else 0):
+                return False
+    return True

@@ -142,18 +142,46 @@ def reduce_center_images(alg: FinDimAlgebra):
 
 def check_unit_and_associativity(alg: FinDimAlgebra):
     """Unit law, and associativity (e_i e_j) e_k = e_i (e_j e_k) on every
-    triple of basis elements, with e_i e_j read from the table."""
+    triple of basis elements, with e_i e_j read from the table.
+
+    For each j, row i of the left side holds (e_i e_j) e_k for every k:
+    the combination, with the coefficients of e_i e_j, of the flattened
+    table rows T[m] = (e_m e_0, e_m e_1, ...).  Row k of the right side
+    holds e_i (e_j e_k) for every i: the combination, with the
+    coefficients of e_j e_k, of the flattened table columns.  Each
+    combination is computed with plain ``+ *`` and one ``reduce_row``, as
+    in ``linalg``; a product that is a single basis element with
+    coefficient 1 picks its row or column with no arithmetic.
+    """
+    F = alg.field
     dim = alg.dim
     table = alg.table
-    unit = alg.unit_vector()
+    u = alg.unit_index
     basis_vecs = alg.basis_vectors()
-    for v in basis_vecs:
-        if alg.mul_vec(unit, v) != v or alg.mul_vec(v, unit) != v:
-            return False
-    for i in range(dim):
-        for j in range(dim):
+    if any(table[u][k] != v or table[k][u] != v
+           for k, v in enumerate(basis_vecs)):
+        return False
+    rows = [[c for v in table[m] for c in v] for m in range(dim)]
+    cols = [[c for i in range(dim) for c in table[i][m]] for m in range(dim)]
+    single = {tuple(v): m for m, v in enumerate(basis_vecs)}
+
+    def combine(coeffs, flat):
+        m = single.get(tuple(coeffs))
+        if m is not None:
+            return flat[m]
+        acc = None
+        for m, c in enumerate(coeffs):
+            if c:
+                acc = ([c * e for e in flat[m]] if acc is None else
+                       [a + c * e for a, e in zip(acc, flat[m])])
+        return F.reduce_row(acc) if acc is not None else [F.zero] * dim * dim
+
+    for j in range(dim):
+        left = [combine(table[i][j], rows) for i in range(dim)]
+        right = [combine(table[j][k], cols) for k in range(dim)]
+        for i in range(dim):
             for k in range(dim):
-                if (alg.mul_vec(table[i][j], basis_vecs[k])
-                        != alg.mul_vec(basis_vecs[i], table[j][k])):
+                if (left[i][k * dim:(k + 1) * dim]
+                        != right[k][i * dim:(i + 1) * dim]):
                     return False
     return True

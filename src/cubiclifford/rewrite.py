@@ -7,9 +7,11 @@ overlap ambiguities among leads up to a total-degree bound, adjoining
 irreducible S-polynomials as new rules, so normal forms are unique for
 inputs within the bound.  Nothing is ever claimed beyond the bound.
 
-Internally words are re-encoded into an alphabet where plain (len, str)
-comparison realizes the order, which lets the reducer avoid custom
-comparators.
+Internally words are re-encoded into the alphabet a < b, where plain
+(len, str) comparison realizes the order.  The reducer keeps its pending
+words in a min-heap keyed by (-len(w), w with a and b swapped): the swap
+reverses the order within one length, so the heap pops the largest word
+first with no custom comparator.
 """
 
 from __future__ import annotations
@@ -19,6 +21,10 @@ import itertools
 
 from .errors import BudgetExceeded, DegreeOutOfRange
 from .freealg import NcPoly, WordOrder, add_term
+
+
+#: Swapping the encoded letters reverses the order of words of one length.
+_SWAP = str.maketrans("ab", "ba")
 
 
 class RewriteRule:
@@ -126,17 +132,29 @@ def _reduce_generic(terms, rules, field):
     Coefficients are nonzero elements of ``field``, as in ``NcPoly.terms``.
     Rules are ``(lead, ((word, coeff), ...))`` with every tail word
     strictly smaller than the lead, which guarantees termination.
-    Deterministic: always rewrites the largest reducible word, at its
+    Deterministic: always rewrites the largest pending word, at its
     leftmost reducible position, by the first matching rule.
+
+    The pending words sit in a dict of coefficients and a min-heap keyed
+    by ``(-len(w), w.translate(_SWAP))``, which pops the largest word
+    first.  A word is pushed when it enters the dict; a popped word no
+    longer in the dict was cancelled to zero and is skipped, so a word
+    cancelled and then re-created leaves only a stale entry behind.  A
+    rewrite of w writes only words smaller than w (tails are smaller than
+    leads and the order is a monomial order), so a popped word that no
+    rule matches is final.
     """
     add, mul, zero = field.add, field.mul, field.zero
-    # keyed by (len, word) so that plain max() is the graded order
-    work = {(len(w), w): c for w, c in terms.items()}
+    push, pop = heapq.heappush, heapq.heappop
+    work = dict(terms)
+    heap = [(-len(w), w.translate(_SWAP), w) for w in work]
+    heapq.heapify(heap)
     result = {}
-    while work:
-        key = max(work)
-        c = work.pop(key)
-        w = key[1]
+    while heap:
+        w = pop(heap)[2]
+        c = work.pop(w, None)
+        if c is None:  # a stale entry: w was cancelled after its push
+            continue
         hit = None
         best = -1
         for lead, tail in rules:
@@ -147,21 +165,25 @@ def _reduce_generic(terms, rules, field):
                 if pos == 0:
                     break
         if hit is None:
-            # every word queued after w is smaller, so w is final
+            # every word pushed after w is smaller, so w is final
             result[w] = c
             continue
         lead, tail = hit
         prefix, suffix = w[:best], w[best + len(lead):]
-        # freealg.add_term inlined: this loop runs for every rewrite step
-        # of every normal form, and its keys are (len, word) pairs
+        # freealg.add_term inlined, plus the push of a new word: this loop
+        # runs for every rewrite step of every normal form
         for tw, tc in tail:
             nw = prefix + tw + suffix
-            nkey = (len(nw), nw)
-            s = add(work.get(nkey, zero), mul(c, tc))
+            old = work.get(nw)
+            if old is None:
+                work[nw] = mul(c, tc)
+                push(heap, (-len(nw), nw.translate(_SWAP), nw))
+                continue
+            s = add(old, mul(c, tc))
             if s != zero:
-                work[nkey] = s
+                work[nw] = s
             else:
-                work.pop(nkey, None)
+                del work[nw]
     return result
 
 

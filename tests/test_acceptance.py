@@ -13,7 +13,7 @@ from cubiclifford.center import (center_relation_residue, centrality_report)
 from cubiclifford.cli import main as cli_main
 from cubiclifford.commgeo import (central_point, delta_partials,
                                   on_twisted_cubic, twisted_cubic_point)
-from cubiclifford.disc import sample_locus, sample_points
+from cubiclifford.disc import sample_locus, sample_points, trichotomy_holds
 from cubiclifford.freealg import NcPoly
 from cubiclifford.pointmod import (PointTriple, abc_system_admits_solution,
                                    all_proj_points,
@@ -187,12 +187,7 @@ def test_criterion_09_simple_quotients(capsys, f13):
 def test_criterion_10_discriminant_trichotomy(capsys, f13):
     rep = sample_locus(f13, ells=list(range(1, 13)), n_per_stratum=5,
                        seed=7)
-    ok = True
-    for ell, per in rep.items():
-        for name, r in per.items():
-            want = 0 if ell <= 3 else (
-                r["total"] if ell > 9 or name == "cubic" else 0)
-            ok = ok and r["members"] == want
+    ok = trichotomy_holds(rep, 5)
     report(capsys, 10, ok,
            "zero sets of the modified discriminant ideals: empty for ell<=3,"
            " the singular stratum for 4<=ell<=9, everything for ell>9; both "

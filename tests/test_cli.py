@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import cubiclifford
-from cubiclifford import cli
+from cubiclifford import cli, disc
 from cubiclifford.cli import main
 
 
@@ -181,6 +181,23 @@ def test_verify_all_checks_dim2_above_sweep_cap(capsys):
     assert payload["results"]["no_dim2_irreps"] is True
     assert "skipped" not in payload
     assert payload["ok"] and all(payload["results"].values())
+
+
+def test_verify_all_fails_on_a_short_stratum(capsys, monkeypatch):
+    # with the degenerate stratum emptied, "no point" and "every point"
+    # would both hold vacuously there; the trichotomy must fail instead
+    real = disc.sample_points
+
+    def without_degenerate(*args, **kwargs):
+        strata = real(*args, **kwargs)
+        strata["degenerate"] = []
+        return strata
+
+    monkeypatch.setattr(disc, "sample_points", without_degenerate)
+    code, payload = run_json(capsys, "verify-all", "--prime", "13")
+    assert code == 1 and not payload["ok"]
+    assert payload["results"]["trichotomy"] is False
+    assert all(v for k, v in payload["results"].items() if k != "trichotomy")
 
 
 def test_error_exit_code_one(capsys):

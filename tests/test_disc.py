@@ -6,7 +6,8 @@ import pytest
 from cubiclifford import disc
 from cubiclifford.commgeo import central_point, enumerate_center_fiber
 from cubiclifford.disc import (locus_profile, modified_gram_check,
-                               sample_locus, sample_points, v_ell_membership)
+                               sample_locus, sample_points, trichotomy_holds,
+                               v_ell_membership)
 from cubiclifford.errors import CriterionMismatch
 from cubiclifford.findim import build_quotient
 from cubiclifford.linalg import Matrix, det
@@ -141,6 +142,39 @@ def test_sample_locus_report(f13):
     assert report[6]["smooth"]["members"] == 0
     assert report[12]["cubic"]["members"] == 3
     assert report[12]["smooth"]["members"] == 3
+
+
+def _synthetic_report(cubic, smooth, degenerate):
+    """A report for ell in {3, 5, 12} on strata of these sizes, with the
+    members the trichotomy asks for: none at ell = 3, the cubic stratum
+    alone at ell = 5, every point at ell = 12."""
+    totals = {"cubic": cubic, "smooth": smooth, "degenerate": degenerate}
+    members = {3: {"cubic": 0, "smooth": 0, "degenerate": 0},
+               5: {"cubic": cubic, "smooth": 0, "degenerate": 0},
+               12: totals}
+    return {ell: {name: {"members": per[name], "total": totals[name]}
+                  for name in totals}
+            for ell, per in members.items()}
+
+
+def test_trichotomy_verdict():
+    full = _synthetic_report(3, 3, 3)
+    assert trichotomy_holds(full, 3)
+    full[5]["smooth"]["members"] = 1
+    assert not trichotomy_holds(full, 3)
+
+
+def test_trichotomy_fails_on_an_empty_stratum():
+    # 0 of 0 degenerate points: "none" at ell = 3 and "all" at ell = 12
+    # both hold vacuously
+    report = _synthetic_report(3, 3, 0)
+    assert not trichotomy_holds(report, 3)
+
+
+def test_trichotomy_fails_on_a_short_stratum():
+    report = _synthetic_report(3, 3, 2)
+    assert not trichotomy_holds(report, 3)
+    assert trichotomy_holds(report, 2)
 
 
 def test_sample_locus_with_modified_gram(f13):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from operator import add, mul
 
 import pytest
@@ -76,6 +77,50 @@ def test_associativity_catches_single_constant_corruptions(f13, origin_alg):
         table[i][j][k] = (table[i][j][k] + rng.randrange(1, 13)) % 13
         bad = FinDimAlgebra(f13, alg.system, alg.basis, table)
         assert not check_unit_and_associativity(bad), (i, j, k)
+
+
+def reference_associativity(alg):
+    """The former check, kept as the oracle: the unit law and every triple
+    through 2 dim^3 ``mul_vec`` calls."""
+    unit, basis = alg.unit_vector(), alg.basis_vectors()
+    if any(alg.mul_vec(unit, v) != v or alg.mul_vec(v, unit) != v
+           for v in basis):
+        return False
+    return all(alg.mul_vec(alg.table[i][j], basis[k])
+               == alg.mul_vec(basis[i], alg.table[j][k])
+               for i in range(alg.dim) for j in range(alg.dim)
+               for k in range(alg.dim))
+
+
+def test_associativity_matches_mul_vec_reference(f13, smooth_alg,
+                                                 singular_alg, origin_alg):
+    # corruptions anywhere, the unit's row and column included, on the
+    # 9-, 15- and 17-dimensional quotients
+    rng = random.Random("associativity-oracle")
+    for alg in (smooth_alg, singular_alg, origin_alg):
+        assert check_unit_and_associativity(alg) is reference_associativity(
+            alg) is True
+        for _ in range(15):
+            i, j, k = (rng.randrange(alg.dim) for _ in range(3))
+            table = [[list(v) for v in row] for row in alg.table]
+            table[i][j][k] = (table[i][j][k] + rng.randrange(1, 13)) % 13
+            bad = FinDimAlgebra(f13, alg.system, alg.basis, table)
+            assert (check_unit_and_associativity(bad)
+                    == reference_associativity(bad)), (alg.dim, i, j, k)
+
+
+def test_associativity_over_the_rationals(rationals):
+    # Q[t]/(t^3 - 3t - 1/2) on the words '', 't', 'tt'; then one corrupted
+    # constant of t * t
+    Q, half = rationals, Fraction(1, 2)
+    powers = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [half, 3, 0], [0, half, 3]]
+    table = [[[Q.of(c) for c in powers[i + j]] for j in range(3)]
+             for i in range(3)]
+    alg = FinDimAlgebra(Q, None, ["", "t", "tt"], table)
+    assert check_unit_and_associativity(alg)
+    table[1][1][0] = Fraction(1, 3)
+    assert not check_unit_and_associativity(alg)
+    assert not reference_associativity(alg)
 
 
 def test_center_images_match_point(f13, smooth_alg, smooth_point):

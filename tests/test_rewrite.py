@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -170,11 +171,15 @@ def test_dump_format(system13):
     assert all(" -> " in line for line in lines)
 
 
-def reference_reduce_terms(terms, rules, p):
-    """The former prime-field reduction loop, kept as the oracle for
-    ``_reduce_generic``: same rules, same rewriting strategy, but graded
-    max by a key function and residues taken with ``%`` inline."""
+def reference_reduce_terms(terms, rules, field, recreated=None):
+    """The former reduction loop, kept as the oracle for
+    ``_reduce_generic``: same rules, same rewriting strategy, but the
+    largest pending word found by a scan, graded max by a key function.
+    Words that are cancelled to zero and later written again are appended
+    to ``recreated`` when it is given."""
+    F = field
     work = dict(terms)
+    cancelled = set()
     result = {}
     while work:
         w = max(work, key=lambda u: (len(u), u))
@@ -189,22 +194,21 @@ def reference_reduce_terms(terms, rules, p):
                 if pos == 0:
                     break
         if best_rule is None:
-            s = (result.get(w, 0) + c) % p
-            if s:
-                result[w] = s
-            elif w in result:
-                del result[w]
+            result[w] = c
             continue
         lead, tail = best_rule
         prefix = w[:best_pos]
         suffix = w[best_pos + len(lead):]
         for tw, tc in tail:
             nw = prefix + tw + suffix
-            s = (work.get(nw, 0) + c * tc) % p
-            if s:
+            if nw in cancelled and nw not in work and recreated is not None:
+                recreated.append(nw)
+            s = F.add(work.get(nw, F.zero), F.mul(c, tc))
+            if s != F.zero:
                 work[nw] = s
             elif nw in work:
                 del work[nw]
+                cancelled.add(nw)
     return result
 
 
@@ -231,7 +235,43 @@ def test_reducer_matches_prime_field_reference(f13, big_letter, bound, lo):
     for terms in random_int_terms(rng, 100, lo, bound, range(1, 13)):
         enc = {order.encode(w): c for w, c in terms.items()}
         assert (_reduce_generic(enc, system._enc_rules, f13)
-                == reference_reduce_terms(enc, system._enc_rules, 13))
+                == reference_reduce_terms(enc, system._enc_rules, f13))
+
+
+@pytest.mark.parametrize("big_letter", ["x", "y"])
+def test_reducer_matches_rational_reference(rationals, big_letter):
+    order = WordOrder(big_letter)
+    system = complete(clifford_relations(rationals), order=order,
+                      degree_bound=16)
+    rng = random.Random(f"reducer-q:{big_letter}")
+    coeffs = [Fraction(n, d) for n in range(-4, 5) if n for d in (1, 2, 3)]
+    for terms in random_int_terms(rng, 60, 0, 16, coeffs):
+        enc = {order.encode(w): c for w, c in terms.items()}
+        assert (_reduce_generic(enc, system._enc_rules, rationals)
+                == reference_reduce_terms(enc, system._enc_rules, rationals))
+
+
+def test_reducer_skips_cancelled_words(f13, system13):
+    # bb -> aa on encoded words: rewriting bba cancels the pending aaa,
+    # rewriting abb writes it again, and the heap holds a stale entry for
+    # it; without abb the stale entry is all that is left of aaa
+    rules = (("bb", (("aa", 1),)),)
+    for terms, expected in [({"bba": 1, "abb": 1, "aaa": 12}, {"aaa": 1}),
+                            ({"bba": 1, "aaa": 12}, {})]:
+        assert _reduce_generic(terms, rules, f13) == expected
+        assert reference_reduce_terms(terms, rules, f13) == expected
+    # seeded words of C whose reduction cancels a pending word to zero and
+    # re-creates it before it is popped
+    rng = random.Random("cancel-recreate")
+    hits = 0
+    for terms in random_int_terms(rng, 40, 0, 13, range(1, 13)):
+        enc = {system13.order.encode(w): c for w, c in terms.items()}
+        recreated = []
+        expected = reference_reduce_terms(enc, system13._enc_rules, f13,
+                                          recreated)
+        assert _reduce_generic(enc, system13._enc_rules, f13) == expected
+        hits += bool(recreated)
+    assert hits >= 3
 
 
 def test_rational_normal_forms_reduce_to_prime_field_ones(f13, rationals):
@@ -351,6 +391,19 @@ def test_quotient_completion_ignores_relation_order(f13, coords, dump):
     for seed in range(10):
         random.Random(seed).shuffle(rels)
         assert complete(rels, degree_bound=DEGREE_BOUND).dump() == dump
+
+
+@pytest.mark.parametrize("coords", [c for c, _, _, _ in PINNED_QUOTIENTS],
+                         ids=["smooth", "degenerate", "cubic", "origin"])
+def test_reducer_matches_reference_on_quotient_systems(f13, coords):
+    # inhomogeneous rules: tails reach down to the empty word
+    system = complete(quotient_relations(f13, central_point(f13, *coords)),
+                      degree_bound=DEGREE_BOUND)
+    rng = random.Random(f"reducer-quotient:{coords}")
+    for terms in random_int_terms(rng, 40, 0, DEGREE_BOUND, range(1, 13)):
+        enc = {system.order.encode(w): c for w, c in terms.items()}
+        assert (_reduce_generic(enc, system._enc_rules, f13)
+                == reference_reduce_terms(enc, system._enc_rules, f13))
 
 
 def test_smooth_quotient_build_reduces_less(f13, monkeypatch):
