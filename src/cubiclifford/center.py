@@ -33,29 +33,25 @@ class CenterElements:
 
 
 def central_elements(field) -> CenterElements:
-    """Fully expanded central elements; needs a primitive cube root of
-    unity in the field (z4 involves omega)."""
+    """Fully expanded central elements, over any field of characteristic
+    not 2 or 3.  z4 is written without a cube root of unity:
+
+        z4 = (yx)^3 - (xy)^3 - xyxyyx - xyyxxy - yxxyxy
+             - (3/2) x^3 y^3 + (9/2) z1 z2,
+
+    12 words once z1 z2 is expanded."""
     F = field
-    w = F.of(field.omega())
     one = F.one
     third = F.inv(F.of(3))
-
-    x = NcPoly.gen(F, "x")
-    y = NcPoly.gen(F, "y")
+    half = F.inv(F.of(2))
 
     z0 = NcPoly.word(F, "xxx")
     z1 = NcPoly(F, {"xxy": third, "xyx": third, "yxx": third})
     z2 = NcPoly(F, {"yyx": third, "yxy": third, "xyy": third})
     z3 = NcPoly.word(F, "yyy")
-
-    # z4 = (yx - w*xy)^3 - (3/2) w (1-w) x^3 y^3 - (9/2)(1 + 2 w^2) z1 z2
-    u = y.mul(x).sub(x.mul(y).scale(w))
-    cube = u.mul(u).mul(u)
-    half = F.inv(F.of(2))
-    c1 = F.mul(F.mul(F.mul(F.of(3), half), w), F.sub(one, w))
-    w2 = F.mul(w, w)
-    c2 = F.mul(F.mul(F.of(9), half), F.add(one, F.mul(F.of(2), w2)))
-    z4 = cube.sub(NcPoly.word(F, "xxxyyy", c1)).sub(z1.mul(z2).scale(c2))
+    words = NcPoly(F, {"yxyxyx": 1, "xyxyxy": -1, "xyxyyx": -1,
+                       "xyyxxy": -1, "yxxyxy": -1, "xxxyyy": -3 * half})
+    z4 = words.add(z1.mul(z2).scale(9 * half))
 
     z5 = NcPoly(F, {"xyxy": one, "yyxx": F.neg(one)})
     z5_alt = NcPoly(F, {"yxyx": one, "xxyy": F.neg(one)})

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -278,9 +279,11 @@ def cmd_verify_all(args):
 
     ptc = central_point(field, 1, 1, 1, 1, 0, 0)
     profc = locus_profile(field, ptc, seed=args.seed)
+    # three 1-dim irreducibles over the closure, from the blocks; they
+    # are the (a, b) = (w, w) with w^3 = 1, so gcd(3, p - 1) are rational
     results["singular_three_dim1"] = (
-        len(search_irreps_dim1(field, ptc)) == 3
-        and profc.sum_squares == 3)
+        profc.irrep_dims == (1, 1, 1)
+        and len(search_irreps_dim1(field, ptc)) == math.gcd(3, field.p - 1))
 
     triple_ok = True
     # five distinct points of P^1, since p >= 5

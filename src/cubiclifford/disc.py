@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .commgeo import (CentralPoint, central_point, discriminant_value,
-                      enumerate_center_fiber, on_twisted_cubic,
-                      twisted_cubic_point)
+                      enumerate_center_fiber, twisted_cubic_point)
 from .errors import CriterionMismatch
 from .findim import FinDimAlgebra, build_quotient
 from .linalg import Matrix, det, rank, rref
@@ -106,8 +105,10 @@ def modified_gram_check(alg: FinDimAlgebra, ell: int, seed: int = 0) -> bool:
 
 def sample_points(field, n_per_stratum: int = 20, seed: int = 0):
     """Stratified central points: twisted-cubic points with (e,f)=(0,0),
-    smooth points with D != 0, and (when found) D = 0 points off the
-    cubic, each with a fiber point."""
+    smooth points with D != 0, each with a fiber point, and D = 0 points
+    off the cubic with (e,f)=(0,0).  The last are the forms l^2 m, for
+    independent linear forms l and m drawn at random: a double root and
+    no triple root, at every p."""
     F = field
     rng = random.Random(seed)
     cubic = []
@@ -116,25 +117,25 @@ def sample_points(field, n_per_stratum: int = 20, seed: int = 0):
         a, b, c, d = twisted_cubic_point(F, x0, x1)
         cubic.append(central_point(F, a, b, c, d, 0, 0))
 
-    def draw(guard, keep):
-        """Up to n_per_stratum fiber points over random (a, b, c, d) that
-        satisfy ``keep``, within ``guard`` draws."""
-        out = []
-        for _ in range(guard):
-            if len(out) == n_per_stratum:
-                break
-            abcd = [rng.randrange(F.p) for _ in range(4)]
-            if keep(abcd):
-                fiber = enumerate_center_fiber(F, *abcd)
-                if fiber:
-                    out.append(fiber[0])
-        return out
+    smooth = []
+    for _ in range(10000):
+        if len(smooth) == n_per_stratum:
+            break
+        abcd = [rng.randrange(F.p) for _ in range(4)]
+        if discriminant_value(F, *abcd) != F.zero:
+            # e^2 = f^3 - 27 D has a point at every p >= 5 (Hasse)
+            smooth.append(enumerate_center_fiber(F, *abcd)[0])
 
-    smooth = draw(10000, lambda abcd: discriminant_value(F, *abcd) != F.zero)
-    # D = 0 but off the twisted cubic
-    degenerate = draw(20000, lambda abcd: (
-        discriminant_value(F, *abcd) == F.zero
-        and not on_twisted_cubic(F, *abcd)))
+    degenerate = []
+    third = F.inv(F.of(3))
+    while len(degenerate) < n_per_stratum:
+        l0, l1, m0, m1 = (rng.randrange(F.p) for _ in range(4))
+        if F.of(l0 * m1 - l1 * m0) == F.zero:
+            continue
+        a, d = l0 * l0 * m0, l1 * l1 * m1
+        b = (l0 * l0 * m1 + 2 * l0 * l1 * m0) * third
+        c = (l1 * l1 * m0 + 2 * l0 * l1 * m1) * third
+        degenerate.append(central_point(F, a, b, c, d, 0, 0))
     return {"cubic": cubic, "smooth": smooth, "degenerate": degenerate}
 
 

@@ -13,10 +13,6 @@ class CharTwoOrThree(CubicliffordError):
     pass
 
 
-class NoOmega(CubicliffordError):
-    pass
-
-
 class FieldMismatch(CubicliffordError):
     pass
 

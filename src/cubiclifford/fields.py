@@ -3,7 +3,8 @@
 Scalars are plain Python objects: residues ``int`` in ``[0, p)`` for prime
 fields, ``fractions.Fraction`` for the rationals.  A field object supplies
 the arithmetic, so the rest of the package never touches ``%`` or
-``Fraction`` directly.
+``Fraction`` directly.  No formula of the package needs a root of unity:
+all are written over Z[1/6], so every such field serves every check.
 
 Row operations of the dense linear algebra are the one exception to
 per-scalar calls: they compute a whole row with the plain ``+ - *``
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import CharTwoOrThree, NoOmega, NotPrime
+from .errors import CharTwoOrThree, NotPrime
 
 
 def is_prime(n: int) -> bool:
@@ -58,10 +59,8 @@ class PrimeField:
         if p in (2, 3):
             raise CharTwoOrThree("characteristic 2 and 3 are excluded")
         self.p = p
-        self.has_omega = p % 3 == 1
         self.zero = 0
         self.one = 1
-        self._omega = None
 
     def of(self, n) -> int:
         if isinstance(n, Fraction):
@@ -93,18 +92,6 @@ class PrimeField:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def omega(self) -> int:
-        """Smallest residue that is a primitive cube root of unity: the
-        smaller of w and w^2 = p - 1 - w, with w = g^((p-1)/3) for the
-        first g that is not a cube, so the cost does not grow with p."""
-        if not self.has_omega:
-            raise NoOmega(f"F_{self.p} has no primitive cube root of unity")
-        if self._omega is None:
-            p, e = self.p, (self.p - 1) // 3
-            w = next(x for x in (pow(g, e, p) for g in range(2, p)) if x != 1)
-            self._omega = min(w, p - 1 - w)
-        return self._omega
-
     def elements(self):
         return range(self.p)
 
@@ -123,7 +110,6 @@ class RationalField:
 
     kind = "rational"
     p = 0
-    has_omega = False
 
     def __init__(self):
         self.zero = Fraction(0)
@@ -157,9 +143,6 @@ class RationalField:
     def div(self, a, b):
         return Fraction(a) / b
 
-    def omega(self):
-        raise NoOmega("the rationals contain no primitive cube root of unity")
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -181,6 +164,6 @@ def make_field(kind: str, p: int | None = None):
     raise ValueError(f"unknown field kind {kind!r}")
 
 
-#: Default primes: all are 1 mod 3 (omega exists) and exceed 9 = dim C/mC,
-#: which the trace-form radical characterization requires.
+#: Default primes: all exceed 9 = dim C/mC, which the trace-form radical
+#: characterization requires.
 DEFAULT_PRIMES = (13, 31, 10009)

@@ -341,27 +341,29 @@ DIM2_MAX_P = 31
 
 def dim2_x_forms(field):
     """Canonical x-images of the dim-2 search, as row-major int 4-tuples:
-    diag(alpha, alpha*omega) for alpha = 1..p-1, then the nilpotent
-    Jordan block."""
+    the companion matrices [[0, -s^2], [1, s]] of t^2 - s t + s^2 for
+    s = 1..p-1, then the nilpotent Jordan block.  Up to conjugacy these
+    are all non-scalar X with X^3 scalar, over every F_p: if X^3 = c != 0,
+    the minimal polynomial of X is a quadratic factor of t^3 - c, which
+    is t^2 - s t + s^2 with s = tr X and c = -s^3; if X^3 = 0, X is
+    nilpotent."""
     p = field.p
-    w = field.omega()
-    return [(a, 0, 0, a * w % p) for a in range(1, p)] + [(0, 1, 0, 0)]
+    return [(0, -s * s % p, 1, s) for s in range(1, p)] + [(0, 1, 0, 0)]
 
 
 def search_irreps_dim2(field):
     """Exhaustive search for 2-dimensional irreducible representations.
 
-    x-images are taken in canonical form up to conjugacy:
-    diag(alpha, alpha*omega) for alpha in F_p^* (x^3 a nonzero scalar)
-    and the nilpotent Jordan block (x^3 = 0); scalar images force
-    reducibility and are excluded.  X^3 is checked to be scalar once per
-    canonical X, which proves x^3 y = y x^3 for every Y.  Then all p^4
-    matrices Y are tested against the other two defining relations,
-    x y^3 = y^3 x first.  A solution is irreducible iff det[X, Y] != 0:
-    two 2 x 2 matrices share an eigenvector over the algebraic closure
-    iff their commutator is singular, and otherwise they generate all of
-    M_2 (Burnside).  Also counts the reducible solutions seen, as a
-    diagnostic.
+    x-images are the canonical forms of ``dim2_x_forms``: one companion
+    matrix per trace s in F_p^* (x^3 a nonzero scalar) and the nilpotent
+    Jordan block (x^3 = 0); scalar images force reducibility and are
+    excluded.  X^3 is checked to be scalar once per canonical X, which
+    proves x^3 y = y x^3 for every Y.  Then all p^4 matrices Y are tested
+    against the other two defining relations, x y^3 = y^3 x first.  A
+    solution is irreducible iff det[X, Y] != 0: two 2 x 2 matrices share
+    an eigenvector over the algebraic closure iff their commutator is
+    singular, and otherwise they generate all of M_2 (Burnside).  Also
+    counts the reducible solutions seen, as a diagnostic.
     """
     p = field.p
     if p > DIM2_MAX_P:

@@ -6,6 +6,11 @@ from cubiclifford.rewrite import complete
 
 
 @pytest.fixture(scope="session")
+def f11():
+    return make_field("prime", 11)
+
+
+@pytest.fixture(scope="session")
 def f13():
     return make_field("prime", 13)
 
@@ -33,3 +38,13 @@ def system13(f13):
 @pytest.fixture(scope="session")
 def system31(f31):
     return complete(clifford_relations(f31), degree_bound=13)
+
+
+@pytest.fixture(scope="session")
+def system11(f11):
+    return complete(clifford_relations(f11), degree_bound=13)
+
+
+@pytest.fixture(scope="session")
+def system_rational(rationals):
+    return complete(clifford_relations(rationals), degree_bound=13)

@@ -59,18 +59,21 @@ def test_criterion_02_confluence(capsys, system13, f13):
            "through degree 13")
 
 
-def test_criterion_03_centrality(capsys, system13, system31):
-    reps = [centrality_report(s, s.field) for s in (system13, system31)]
+def test_criterion_03_centrality(capsys, system11, system13, system31,
+                                system_rational):
+    systems = (system11, system13, system31, system_rational)
+    reps = [centrality_report(s, s.field) for s in systems]
     ok = all(all(r.values()) for r in reps)
     report(capsys, 3, ok,
-           "z0..z5 commute with both generators over F_13 and F_31")
+           "z0..z5 commute with both generators over F_11, F_13, F_31 and Q")
 
 
-def test_criterion_04_center_relation(capsys, system13, system31):
-    ok = all(center_relation_residue(s, s.field).is_zero()
-             for s in (system13, system31))
+def test_criterion_04_center_relation(capsys, system11, system13, system31,
+                                      system_rational):
+    systems = (system11, system13, system31, system_rational)
+    ok = all(center_relation_residue(s, s.field).is_zero() for s in systems)
     report(capsys, 4, ok,
-           "z4^2 = z5^3 - 27*Delta holds over F_13 and F_31")
+           "z4^2 = z5^3 - 27*Delta holds over F_11, F_13, F_31 and Q")
 
 
 def test_criterion_05_singular_locus(capsys, f13, f31):
@@ -106,37 +109,39 @@ def test_criterion_05_singular_locus(capsys, f13, f31):
            "only on the cone over the twisted cubic")
 
 
-def test_criterion_06_no_dim2_irreps(capsys, f7, f13, rationals):
-    res7 = search_irreps_dim2(f7)
-    res13 = search_irreps_dim2(f13)
-    ok = (dim2_certificate(rationals) and res7["irreducible_pairs"] == []
-          and res13["irreducible_pairs"] == [])
+def test_criterion_06_no_dim2_irreps(capsys, f7, f11, f13, rationals):
+    ok = dim2_certificate(rationals) and all(
+        search_irreps_dim2(F)["irreducible_pairs"] == []
+        for F in (f7, f11, f13))
     report(capsys, 6, ok,
            "no 2-dimensional irreducible representation, in every "
-           "characteristic (certificate) and by exhaustive sweeps over F_7 "
-           "and F_13")
+           "characteristic (certificate) and by exhaustive sweeps over F_7, "
+           "F_11 and F_13")
 
 
-def test_criterion_07_fiber_dimensions(capsys, f13, f31):
+def test_criterion_07_fiber_dimensions(capsys, f11, f13, f31):
     from cubiclifford.disc import locus_profile
     ok = True
-    for F in (f13, f31):
+    for F in (f11, f13, f31):
         smooth = sample_points(F, n_per_stratum=20, seed=7)["smooth"]
         for pt in smooth:
             prof = locus_profile(F, pt)
             ok = ok and prof.algebra.dim == 9
             ok = ok and prof.gram_rank == 9
             ok = ok and prof.irrep_dims == (3,)
-    cubic = sample_points(f13, n_per_stratum=10, seed=7)["cubic"]
-    for pt in cubic:
-        sols = search_irreps_dim1(f13, pt)
-        prof = locus_profile(f13, pt)
-        ok = ok and len(sols) == 3 and prof.sum_squares == 3
+    # over the closure three 1-dim irreducibles; gcd(3, p - 1) of them
+    # are F_p-rational: 1 over F_11, 3 over F_13
+    for F, rational in ((f11, 1), (f13, 3)):
+        for pt in sample_points(F, n_per_stratum=10, seed=7)["cubic"]:
+            prof = locus_profile(F, pt)
+            ok = ok and prof.irrep_dims == (1, 1, 1)
+            ok = ok and len(search_irreps_dim1(F, pt)) == rational
     origin = central_point(f13, 0, 0, 0, 0, 0, 0)
     ok = ok and search_irreps_dim1(f13, origin) == [(0, 0)]
     report(capsys, 7, ok,
            "smooth fibers: dim 9, trivial radical, one 3x3 block, Gram rank "
-           "9; cubic points: exactly three 1-dim reps (one at the origin)")
+           "9; cubic points: three 1-dim irreducibles over the closure, of "
+           "which gcd(3, p - 1) are rational (one at the origin)")
 
 
 def test_criterion_08_point_sequences(capsys, f7, f13, f31):

@@ -5,8 +5,9 @@ import pytest
 from cubiclifford.center import (center_relation_residue, central_elements,
                                  centrality_report, formal_discriminant_nc,
                                  verify_centrality)
-from cubiclifford.errors import NoOmega
-from cubiclifford.freealg import NcPoly
+from cubiclifford.fields import make_field
+from cubiclifford.freealg import NcPoly, clifford_relations
+from cubiclifford.rewrite import complete
 
 
 def test_z0_and_z3_are_single_words(f13):
@@ -33,10 +34,39 @@ def test_z5_two_expansions_agree_mod_relations(system13, f13):
     assert system13.normal_form(z.z5) == system13.normal_form(z.z5_alt)
 
 
-def test_needs_omega():
-    from cubiclifford.fields import make_field
-    with pytest.raises(NoOmega):
-        central_elements(make_field("prime", 5))
+def _system(field):
+    return complete(clifford_relations(field), degree_bound=13)
+
+
+@pytest.mark.parametrize("kind, p", [("prime", 5), ("prime", 11),
+                                     ("prime", 17), ("rational", None)])
+def test_z4_needs_no_cube_root_of_unity(kind, p):
+    # F_5, F_11, F_17 and Q hold no primitive cube root of unity
+    F = make_field(kind, p)
+    system = _system(F)
+    assert len(central_elements(F).z4.terms) == 12
+    assert all(centrality_report(system, F).values())
+    assert center_relation_residue(system, F).is_zero()
+
+
+def _omega_z4(F, w):
+    """z4 as first transcribed, with a primitive cube root of unity w:
+    (yx - w xy)^3 - (3/2) w (1 - w) x^3 y^3 - (9/2)(1 + 2 w^2) z1 z2."""
+    z = central_elements(F)
+    half = F.inv(2)
+    u = NcPoly.word(F, "yx").sub(NcPoly.word(F, "xy", w))
+    return (u.pow(3)
+            .sub(NcPoly.word(F, "xxxyyy", 3 * half * w * (1 - w)))
+            .sub(z.z1.mul(z.z2).scale(9 * half * (1 + 2 * w * w))))
+
+
+@pytest.mark.parametrize("p", [7, 13, 31, 10009])
+def test_omega_form_of_z4_agrees(p):
+    F = make_field("prime", p)
+    w = next(a for a in range(2, p) if pow(a, 3, p) == 1)
+    old, z4 = _omega_z4(F, w), central_elements(F).z4
+    assert len(old.terms) == 14 and old != z4
+    assert _system(F).normal_form(old.sub(z4)).is_zero()
 
 
 @pytest.mark.parametrize("fixture", ["system13", "system31"])

@@ -130,7 +130,9 @@ def test_search_dim2(capsys):
           '"reducible_solutions":931,"schema":1,"x_forms_tested":7}\n'),
     ("13", '{"irreducible_pairs":0,"ok":true,"prime":13,'
            '"reducible_solutions":6253,"schema":1,"x_forms_tested":13}\n'),
-], ids=["p7", "p13"])
+    ("11", '{"irreducible_pairs":0,"ok":true,"prime":11,'
+           '"reducible_solutions":1331,"schema":1,"x_forms_tested":11}\n'),
+], ids=["p7", "p13", "p11"])
 def test_search_dim2_stdout_pinned(capsys, prime, stdout):
     assert main(["search-dim2", "--prime", prime]) == 0
     assert capsys.readouterr().out == stdout
@@ -181,6 +183,30 @@ def test_verify_all_checks_dim2_above_sweep_cap(capsys):
     assert payload["results"]["no_dim2_irreps"] is True
     assert "skipped" not in payload
     assert payload["ok"] and all(payload["results"].values())
+
+
+@pytest.mark.parametrize("prime", ["11", "17"])
+def test_verify_all_at_primes_2_mod_3(capsys, prime):
+    # F_p has no primitive cube root of unity; every check still runs
+    code, payload = run_json(capsys, "verify-all", "--prime", prime)
+    assert code == 0
+    assert payload["ok"] and all(payload["results"].values())
+    assert len(payload["results"]) == 11
+
+
+def test_center_check_at_11(capsys):
+    code, payload = run_json(capsys, "center-check", "--prime", "11")
+    assert code == 0 and all(payload["verdicts"].values())
+
+
+def test_verify_all_at_5_fails_loudly(capsys):
+    # dim 15 > p = 5: the trace kernel is not certified to be the radical
+    code, out = run(capsys, "verify-all", "--prime", "5")
+    assert code == 1
+    assert len(out.splitlines()) == 1
+    payload = json.loads(out)
+    assert not payload["ok"]
+    assert payload["error"] == "CharacteristicTooSmall"
 
 
 def test_verify_all_fails_on_a_short_stratum(capsys, monkeypatch):

@@ -4,11 +4,13 @@ from operator import mul
 import pytest
 
 from cubiclifford import disc
-from cubiclifford.commgeo import central_point, enumerate_center_fiber
+from cubiclifford.commgeo import (central_point, discriminant_value,
+                                  enumerate_center_fiber, on_twisted_cubic)
 from cubiclifford.disc import (locus_profile, modified_gram_check,
                                sample_locus, sample_points, trichotomy_holds,
                                v_ell_membership)
 from cubiclifford.errors import CriterionMismatch
+from cubiclifford.fields import make_field
 from cubiclifford.findim import build_quotient
 from cubiclifford.linalg import Matrix, det
 from cubiclifford.repthy import full_gram
@@ -132,6 +134,22 @@ def test_sample_points_strata(f13):
     assert all(p.e == 0 and p.f == 0 for p in strata["cubic"])
     # the projective parametrization never yields the origin
     assert all(any(c != 0 for c in p.coords()) for p in strata["cubic"])
+
+
+def test_sample_points_full_strata_at_large_prime():
+    # a random form has D = 0 with probability about 1/p, so the
+    # degenerate points are built as l^2 m rather than found by search
+    F = make_field("prime", 100003)
+    strata = sample_points(F, n_per_stratum=3, seed=0)
+    assert [len(strata[k]) for k in ("cubic", "smooth", "degenerate")] \
+        == [3, 3, 3]
+    for pt in strata["degenerate"]:
+        abcd = pt.coords()[:4]
+        assert discriminant_value(F, *abcd) == F.zero
+        assert not on_twisted_cubic(F, *abcd)
+        assert pt.e == pt.f == F.zero
+    assert all(discriminant_value(F, *pt.coords()[:4]) != F.zero
+               for pt in strata["smooth"])
 
 
 def test_sample_locus_report(f13):

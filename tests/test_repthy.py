@@ -497,8 +497,16 @@ def _burnside_span(X, Y, p):
     return len(span)
 
 
+def _cube_root_of_unity(p):
+    """The smallest primitive cube root of unity mod p (p = 1 mod 3)."""
+    return next(a for a in range(2, p) if pow(a, 3, p) == 1)
+
+
 def _reference_x_forms(field):
-    p, w = field.p, field.omega()
+    """The canonical x-images as first written, with a cube root of unity
+    w: diag(alpha, alpha*w) for alpha = 1..p-1, then the Jordan block."""
+    p = field.p
+    w = _cube_root_of_unity(p)
     forms = [((a, 0), (0, a * w % p)) for a in range(1, p)]
     return forms + [((0, 1), (0, 0))]
 
@@ -519,9 +527,30 @@ def _reference_sweep(X, p):
     return irreducible, reducible
 
 
-def test_dim2_x_forms_match_reference(f7):
-    assert [((x0, x1), (x2, x3)) for x0, x1, x2, x3 in dim2_x_forms(f7)] \
-        == _reference_x_forms(f7)
+def _trace_det(X, p):
+    (a, b), (c, d) = X
+    return (a + d) % p, (a * d - b * c) % p
+
+
+def test_dim2_x_forms_match_reference(f7, monkeypatch):
+    # a non-scalar 2 x 2 matrix is conjugate to the companion matrix of
+    # its characteristic polynomial, so each companion form is conjugate
+    # to the diagonal form with its trace and determinant, and the sweep
+    # finds as many solutions at it as the reference sweep there
+    p = 7
+    diagonal = {_trace_det(X, p): X for X in _reference_x_forms(f7)}
+    forms = dim2_x_forms(f7)
+    assert len(forms) == len(diagonal) == p
+    for x0, x1, x2, x3 in forms:
+        assert (x1, x2, x0) != (0, 0, x3)
+        X = diagonal.pop(_trace_det(((x0, x1), (x2, x3)), p))
+        monkeypatch.setattr(repthy, "dim2_x_forms",
+                            lambda field: [(x0, x1, x2, x3)])
+        res = search_irreps_dim2(f7)
+        irreducible, reducible = _reference_sweep(X, p)
+        assert res["irreducible_pairs"] == irreducible == []
+        assert res["reducible_solutions"] == reducible
+    assert diagonal == {}
 
 
 def test_search_dim2_matches_reference_per_x(f7, monkeypatch):
@@ -540,7 +569,8 @@ def test_det_commutator_decides_burnside(f7):
     # two 2 x 2 matrices generate M_2 iff det[X, Y] != 0, checked on
     # every canonical X against every Y over F_7
     p = 7
-    for X in _reference_x_forms(f7):
+    for x0, x1, x2, x3 in dim2_x_forms(f7):
+        X = ((x0, x1), (x2, x3))
         for Y in _all_y(p):
             e, f = _m2_mul(X, Y, p), _m2_mul(Y, X, p)
             k = [u - v for u, v in zip(e, f)]
@@ -554,7 +584,7 @@ def _mul2(a, b, p):
             for i in range(2)]
 
 
-@pytest.mark.parametrize("p", [7, 13, 19, 31])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 31])
 def test_dim2_x_cubes_are_scalar(p):
     F = make_field("prime", p)
     forms = dim2_x_forms(F)
@@ -623,7 +653,7 @@ def test_dim2_certificate_rejects_mutants(f13, capsys, monkeypatch, name,
     assert not payload["ok"]
 
 
-@pytest.mark.parametrize("p, solutions", [(7, 931), (13, 6253)])
+@pytest.mark.parametrize("p, solutions", [(7, 931), (11, 1331), (13, 6253)])
 def test_dim2_identities_predict_sweep_count(p, solutions):
     # the solutions the identities predict for each canonical X: the p^2
     # Y commuting with X, and the Y with K = [X, Y] != 0 at which every
@@ -648,11 +678,12 @@ def test_dim2_identities_predict_sweep_count(p, solutions):
 
 
 def test_search_dim1_at_singular_points(f13):
-    # (1,1,1,1,0,0) comes from (a,b) = (1,1) and its omega-twists
+    # (1,1,1,1,0,0) comes from (a,b) = (1,1) and its twists by cube
+    # roots of unity
     sols = search_irreps_dim1(f13, central_point(f13, 1, 1, 1, 1, 0, 0))
     assert len(sols) == 3
     assert (1, 1) in sols
-    w = f13.omega()
+    w = _cube_root_of_unity(13)
     assert (w, w) in sols
 
 
