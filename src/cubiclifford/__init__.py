@@ -3,8 +3,8 @@ cubic forms: rewriting-based basis and center verification, central
 quotients, representation structure, point modules, and discriminant loci.
 """
 
-from .fields import DEFAULT_PRIMES, make_field
+from .fields import make_field
 
-__all__ = ["make_field", "DEFAULT_PRIMES"]
+__all__ = ["make_field"]
 
 __version__ = "0.1.0"

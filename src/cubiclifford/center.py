@@ -70,8 +70,7 @@ def formal_discriminant_nc(field) -> NcPoly:
 
 def verify_centrality(system, p: NcPoly) -> bool:
     """True iff p commutes with both generators modulo the relations."""
-    deg = p.degree()
-    if deg != "-inf" and deg + 1 > system.confluent_to:
+    if not p.is_zero() and p.degree() + 1 > system.confluent_to:
         raise DegreeOutOfRange("commutators would exceed the certified bound")
     F = system.field
     for letter in ("x", "y"):

@@ -25,7 +25,7 @@ from .commgeo import (CentralPoint, central_point, discriminant_value,
                       enumerate_center_fiber, twisted_cubic_point)
 from .errors import CriterionMismatch
 from .findim import FinDimAlgebra, build_quotient
-from .linalg import Matrix, det, rank, rref
+from .linalg import det, rank, rref
 from .repthy import (BlockStructure, full_gram, trace_vector,
                      wedderburn_blocks)
 
@@ -56,7 +56,7 @@ def locus_profile(field, point: CentralPoint, seed: int = 0) -> LocusProfile:
     alg = build_quotient(field, point)
     blocks = wedderburn_blocks(alg, seed=seed)
     dims = tuple(blocks.irrep_dims())
-    g_rank = rank(full_gram(alg))
+    g_rank = rank(field, full_gram(alg))
     return LocusProfile(point, alg, dims, g_rank, blocks.sum_squares(),
                         blocks)
 
@@ -86,17 +86,16 @@ def modified_gram_check(alg: FinDimAlgebra, ell: int, seed: int = 0) -> bool:
     older callers and ignored: nothing is drawn."""
     F = alg.field
     G = full_gram(alg)
-    _, g_rank, rows = rref(G.transpose())  # independent rows of G
-    if ell > g_rank:
+    rows = rref(F, list(zip(*G)))[1]  # independent rows of G
+    if ell > len(rows):
         return False
     rows = rows[:ell]
-    cols = rref(Matrix(F, [G.entries[r] for r in rows]))[2]
+    cols = rref(F, [G[r] for r in rows])[1]
     basis, tv = alg.basis_vectors(), trace_vector(alg)
     # tr(y y') is the coordinate vector of the product dotted with tv
-    pairs = Matrix(F, [
-        F.reduce_row([sum(map(mul, alg.mul_vec(basis[r], basis[c]), tv))
-                      for c in cols]) for r in rows])
-    if det(pairs) == F.zero:
+    pairs = [F.reduce_row([sum(map(mul, alg.mul_vec(basis[r], basis[c]), tv))
+                           for c in cols]) for r in rows]
+    if det(F, pairs) == F.zero:
         raise CriterionMismatch(
             f"the Gram minor at rows {rows}, columns {cols} is singular when "
             f"rebuilt from products and traces (ell={ell})")

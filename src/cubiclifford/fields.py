@@ -162,8 +162,3 @@ def make_field(kind: str, p: int | None = None):
     if kind == "rational":
         return RationalField()
     raise ValueError(f"unknown field kind {kind!r}")
-
-
-#: Default primes: all exceed 9 = dim C/mC, which the trace-form radical
-#: characterization requires.
-DEFAULT_PRIMES = (13, 31, 10009)

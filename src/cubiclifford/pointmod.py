@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .commgeo import CentralPoint, CommPoly, central_point, cube_map
 from .errors import KernelDimensionUnexpected, ZeroPoint
 from .fields import RationalField
-from .linalg import Matrix, kernel
+from .linalg import kernel
 
 
 @dataclass(frozen=True)
@@ -52,26 +52,26 @@ class PointTriple:
         return self.p0 == self.p1 == self.p2
 
 
-def step_matrix(field, t: PointTriple) -> Matrix:
-    """The 3x2 system whose kernel determines the next point (x3, y3)."""
+def step_matrix(field, t: PointTriple) -> list:
+    """The 3x2 system whose kernel determines the next point (x3, y3), as
+    a list of rows."""
     F = field
     x0, y0 = t.p0.x, t.p0.y
     x1, y1 = t.p1.x, t.p1.y
     x2, y2 = t.p2.x, t.p2.y
     m = F.mul
-    rows = [
+    return [
         [m(m(x1, x2), y0), F.neg(m(m(x0, x1), x2))],
         [F.add(m(m(x2, y0), y1), m(m(x1, y0), y2)),
          F.neg(F.add(m(m(x0, x2), y1), m(m(x1, x0), y2)))],
         [m(m(y0, y1), y2), F.neg(m(m(x0, y1), y2))],
     ]
-    return Matrix(F, rows)
 
 
 def solve_next(field, t: PointTriple) -> ProjPoint:
     """Unique projective solution of the step system; asserted (not
     assumed) to equal p0, so three-periodicity is checked on every call."""
-    ker = kernel(step_matrix(field, t))
+    ker = kernel(field, step_matrix(field, t))
     if len(ker) != 1:
         raise KernelDimensionUnexpected(
             f"step system has kernel dimension {len(ker)}, expected 1")

@@ -40,7 +40,7 @@ from .errors import (CharacteristicTooSmall, FieldTooLarge, NotScalar,
                      SplitFailure)
 from .findim import FinDimAlgebra
 from .freealg import clifford_relations
-from .linalg import Matrix, kernel, rref
+from .linalg import kernel, rank, rref
 
 
 @dataclass
@@ -64,26 +64,21 @@ class BlockStructure:
 def trace_vector(alg: FinDimAlgebra):
     """trace of left multiplication by each basis element."""
     F = alg.field
-    out = []
-    for i in range(alg.dim):
-        t = F.zero
-        for j in range(alg.dim):
-            t = F.add(t, alg.table[i][j][j])
-        out.append(t)
-    return out
+    return F.reduce_row([sum((prod[j] for j, prod in enumerate(row)), F.zero)
+                         for row in alg.table])
 
 
-def full_gram(alg: FinDimAlgebra) -> Matrix:
-    """Gram matrix [tr(e_i e_j)] of the whole basis, each entry the table
-    product e_i e_j dotted with the trace vector; built once per algebra
-    and kept on it as ``alg._full_gram``."""
+def full_gram(alg: FinDimAlgebra) -> list:
+    """Gram matrix [tr(e_i e_j)] of the whole basis as a list of rows,
+    each entry the table product e_i e_j dotted with the trace vector;
+    built once per algebra and kept on it as ``alg._full_gram``."""
     g = getattr(alg, "_full_gram", None)
     if g is None:
         F = alg.field
         tv = trace_vector(alg)
-        g = alg._full_gram = Matrix(F, [
+        g = alg._full_gram = [
             F.reduce_row([sum(map(mul, prod, tv)) for prod in row])
-            for row in alg.table])
+            for row in alg.table]
     return g
 
 
@@ -96,7 +91,7 @@ def radical(alg: FinDimAlgebra):
     A failed certificate raises CharacteristicTooSmall.
     """
     F = alg.field
-    K = kernel(full_gram(alg))
+    K = kernel(F, full_gram(alg))
     if F.kind == "prime" and F.p <= alg.dim and K:
         if not _is_nilpotent_ideal(alg, K):
             raise CharacteristicTooSmall(
@@ -121,8 +116,7 @@ def _is_nilpotent_ideal(alg: FinDimAlgebra, K):
     row-reduced once; each product e_i k and k e_i must reduce to zero
     against it."""
     F = alg.field
-    R, rk, pivots = rref(Matrix(F, K))
-    rows = R.entries[:rk]
+    rows, pivots = rref(F, K)
     basis_vecs = alg.basis_vectors()
     for k in K:
         for e in basis_vecs:
@@ -132,16 +126,14 @@ def _is_nilpotent_ideal(alg: FinDimAlgebra, K):
                 return False
     # nilpotency: successive powers K, K^2, ... must reach zero
     current = rows
-    prev_rank = rk
     for _ in range(alg.dim + 1):
         products = [alg.mul_vec(u, v) for u in current for v in K]
-        R, rk, _ = rref(Matrix(F, products))
-        if rk == 0:
+        power = rref(F, products)[0]
+        if not power:
             return True
-        if rk == prev_rank:
+        if len(power) == len(current):
             return False  # stabilized at a nonzero power
-        current = R.entries[:rk]
-        prev_rank = rk
+        current = power
     return False
 
 
@@ -151,8 +143,8 @@ def radical_quotient(alg: FinDimAlgebra) -> FinDimAlgebra:
     table reduced modulo the radical and read at those columns.  A/rad
     has no presentation, so ``system`` is None."""
     F = alg.field
-    R, rk, rev = rref(Matrix(F, [v[::-1] for v in radical(alg)]))
-    rows = [r[::-1] for r in R.entries[:rk]]
+    rows, rev = rref(F, [v[::-1] for v in radical(alg)])
+    rows = [r[::-1] for r in rows]
     pivots = [alg.dim - 1 - c for c in rev]
     free = [i for i in range(alg.dim) if i not in pivots]
     table = []
@@ -174,7 +166,7 @@ def center_basis(alg: FinDimAlgebra):
     rows = [F.reduce_row([table[i][k][m] - table[k][i][m]
                           for i in range(alg.dim)])
             for k in range(alg.dim) for m in range(alg.dim)]
-    return kernel(Matrix(F, rows))
+    return kernel(F, rows)
 
 
 def _power(alg: FinDimAlgebra, v, e):
@@ -187,12 +179,6 @@ def _power(alg: FinDimAlgebra, v, e):
         if e:
             v = alg.mul_vec(v, v)
     return out
-
-
-def _span(F, vectors):
-    """Reduced echelon basis of the span of the vectors."""
-    R, rk, _ = rref(Matrix(F, vectors))
-    return R.entries[:rk]
 
 
 def _combine(F, coeffs, vectors):
@@ -226,18 +212,17 @@ def wedderburn_blocks(alg: FinDimAlgebra, seed: int = 0) -> BlockStructure:
     frob = [F.reduce_row([a - b for a, b in zip(_power(quot, z, p), z)])
             for z in zbasis]
     fixed = [_combine(F, c, zbasis)
-             for c in kernel(Matrix(F, frob).transpose())]
+             for c in kernel(F, list(zip(*frob)))]
     half = F.inv(2)
     rng = random.Random(seed)
     blocks = []
     todo = [quot.unit_vector()]
     while todo:
         e = todo.pop()
-        fixed_e = _span(F, [quot.mul_vec(b, e) for b in fixed])
+        fixed_e = rref(F, [quot.mul_vec(b, e) for b in fixed])[0]
         if len(fixed_e) == 1:
-            k = len(_span(F, [quot.mul_vec(z, e) for z in zbasis]))
-            bdim = len(_span(F, [quot.mul_vec(b, e)
-                                 for b in quot.basis_vectors()]))
+            k = rank(F, [quot.mul_vec(z, e) for z in zbasis])
+            bdim = rank(F, [quot.mul_vec(b, e) for b in quot.basis_vectors()])
             n = math.isqrt(bdim // k)
             if n * n * k != bdim:
                 raise SplitFailure(

@@ -84,6 +84,10 @@ def test_unit_is_central(system13, f13):
     assert verify_centrality(system13, NcPoly.one(f13))
 
 
+def test_zero_is_central(system13, f13):
+    assert verify_centrality(system13, NcPoly.zero(f13))
+
+
 def test_formal_discriminant_degree_12(f13):
     delta = formal_discriminant_nc(f13)
     assert all(len(w) == 12 for w in delta.terms)

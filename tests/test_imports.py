@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, and every
-name the library defines is used somewhere in the repository; a method
-only counts as used where its module is, or is imported, or where the
-base-class method it overrides is used."""
+name the library defines (a function, class or module-level constant) is
+used somewhere in the repository; a method only counts as used where its
+module is, or is imported, or where the base-class method it overrides is
+used.  A re-export, by an import or in ``__all__``, is not a use."""
 
 import ast
 import re
@@ -18,7 +19,6 @@ def unused_imports(source):
     excluding names it re-exports through ``__all__``."""
     tree = ast.parse(source)
     imported = {}
-    exported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -27,10 +27,7 @@ def unused_imports(source):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in node.targets):
-            exported |= {e.value for e in node.value.elts}
+    exported = {e.value for e in _all_strings(tree)}
     loaded = {node.id for node in ast.walk(tree)
               if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items()
@@ -50,19 +47,33 @@ def test_scanner_flags_unused_names():
     assert unused_imports(source) == [(1, "os"), (3, "b")]
 
 
+def _all_strings(tree):
+    """The string nodes of a module's ``__all__`` assignment."""
+    return [e for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)
+            for e in node.value.elts]
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def defined_names(source):
-    """Module-level functions and classes, and the non-dunder methods of
-    those classes, as (qualified name, name)."""
+    """Module-level functions, classes and non-dunder constants, and the
+    non-dunder methods of those classes, as (qualified name, name)."""
     out = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             out.append((node.name, node.name))
+        elif isinstance(node, ast.Assign):
+            out.extend((t.id, t.id) for t in node.targets
+                       if isinstance(t, ast.Name) and not _is_dunder(t.id))
         if isinstance(node, ast.ClassDef):
             out.extend((f"{node.name}.{item.name}", item.name)
                        for item in node.body
                        if isinstance(item, ast.FunctionDef)
-                       and not (item.name.startswith("__")
-                                and item.name.endswith("__")))
+                       and not _is_dunder(item.name))
     return out
 
 
@@ -72,18 +83,19 @@ def _dotted_string(node):
 
 
 def referenced_names(source):
-    """Names a module loads, attributes it reads, names it imports, and
-    the parts of dotted-name strings (as in ``getattr`` or the
-    benchmark's trace targets)."""
+    """Names a module loads, attributes it reads, and the parts of
+    dotted-name strings (as in ``getattr`` or the benchmark's trace
+    targets).  The names it assigns are not uses, and the names it
+    imports and the strings of its ``__all__`` only re-export them."""
+    tree = ast.parse(source)
+    exports = set(map(id, _all_strings(tree)))
     out = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
-        elif isinstance(node, ast.alias):
-            out.update(node.name.split("."))
-        elif _dotted_string(node):
+        elif _dotted_string(node) and id(node) not in exports:
             out.update(node.value.split("."))
     return out
 
@@ -160,7 +172,7 @@ def test_scanner_flags_unreferenced_definitions():
            "    def stale(self): pass\n    def __len__(self): return 0\n"
            "def traced(): pass\ndef orphan(): pass\nclass Gone: pass\n"
            "class Base:\n    def run(self): return self.hook()\n"
-           "    def hook(self): pass\n")
+           "    def hook(self): pass\nLIMIT = 3\nSPARE = 4\n__version__ = 1\n")
     # Sub.hook is called only through Base.run, in lib, which does not
     # import sub; Sub.spare is called nowhere
     sub = ("from lib import Base\nclass Sub(Base):\n"
@@ -169,7 +181,11 @@ def test_scanner_flags_unreferenced_definitions():
             "from sub import Sub\nSub().run()\n")
     # reads an attribute named like A.stale without importing lib
     other = "def f(args):\n    return args.stale\n"
-    sources = {"lib": lib, "sub": sub, "user": user, "other": other}
+    # re-exports SPARE, which no module uses
+    package = ("from lib import SPARE, LIMIT\n__all__ = ['SPARE']\n"
+               "print(LIMIT)\n")
+    sources = {"lib": lib, "sub": sub, "user": user, "other": other,
+               "package": package}
     assert unreferenced_definitions({"lib": lib, "sub": sub}, sources) == [
         ("lib", "A.dead"), ("lib", "A.stale"), ("lib", "Gone"),
-        ("lib", "orphan"), ("sub", "Sub.spare")]
+        ("lib", "SPARE"), ("lib", "orphan"), ("sub", "Sub.spare")]
