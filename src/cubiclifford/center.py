@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .commgeo import discriminant
 from .errors import DegreeOutOfRange
-from .freealg import NcPoly
+from .freealg import NcPoly, commutator
 
 
 @dataclass
@@ -75,7 +75,7 @@ def verify_centrality(system, p: NcPoly) -> bool:
     F = system.field
     for letter in ("x", "y"):
         g = NcPoly.gen(F, letter)
-        if not system.normal_form(p.mul(g).sub(g.mul(p))).is_zero():
+        if not system.normal_form(commutator(p, g)).is_zero():
             return False
     return True
 

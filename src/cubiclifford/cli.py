@@ -35,23 +35,8 @@ from .rewrite import complete, hilbert_oracle
 SCHEMA = 1
 
 
-def _env_default(name, fallback):
-    raw = os.environ.get(f"CUBICLIFFORD_{name}")
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"CUBICLIFFORD_{name} must be an integer, "
-                         f"got {raw!r}") from None
-
-
 def _add_common(sub):
-    sub.add_argument("--prime", type=int,
-                     default=_env_default("PRIME", 13))
-    sub.add_argument("--seed", type=int, default=_env_default("SEED", 0))
-    sub.add_argument("--degree-bound", type=int,
-                     default=_env_default("DEGREE_BOUND", 13))
+    sub.add_argument("--prime", type=int, default=13)
     sub.add_argument("--output", choices=("json", "human"), default="json")
 
 
@@ -112,7 +97,7 @@ def cmd_nf(args):
     poly = parse_poly(field, args.poly)
     nf = system.normal_form(poly)
     return _emit(args, {"prime": args.prime, "input": args.poly,
-                        "normal_form": nf.serialize(system.order)})
+                        "normal_form": nf.serialize()})
 
 
 def cmd_center_check(args):
@@ -130,7 +115,7 @@ def cmd_relation_check(args):
     holds = residue.is_zero()
     payload = {"prime": args.prime, "relation_holds": holds}
     if not holds:
-        payload["residue"] = residue.serialize(system.order)
+        payload["residue"] = residue.serialize()
     return _emit(args, payload, holds)
 
 
@@ -312,23 +297,25 @@ def build_parser():
                     "algebra of binary cubic forms")
     subs = parser.add_subparsers(dest="command", required=True)
 
+    seed = ("--seed", {"type": int, "default": 0})
+    bound = ("--degree-bound", {"type": int, "default": 13})
     specs = [
         ("hilbert", cmd_hilbert,
-         [("--max-degree", {"type": int, "default": 13})]),
-        ("nf", cmd_nf, [("--poly", {"required": True})]),
-        ("center-check", cmd_center_check, []),
-        ("relation-check", cmd_relation_check, []),
+         [bound, ("--max-degree", {"type": int, "default": 13})]),
+        ("nf", cmd_nf, [bound, ("--poly", {"required": True})]),
+        ("center-check", cmd_center_check, [bound]),
+        ("relation-check", cmd_relation_check, [bound]),
         ("singular-check", cmd_singular_check,
          [("--point", {"required": True})]),
         ("quotient", cmd_quotient,
          [("--point", {"required": True}), ("--dump", {"default": None})]),
-        ("irreps", cmd_irreps, [("--point", {"required": True})]),
+        ("irreps", cmd_irreps, [seed, ("--point", {"required": True})]),
         ("search-dim2", cmd_search_dim2, []),
         ("point-module", cmd_point_module, [("--triple", {"required": True})]),
         ("disc-locus", cmd_disc_locus,
-         [("--ell", {"default": "3,5,12"}),
+         [seed, ("--ell", {"default": "3,5,12"}),
           ("--samples", {"type": int, "default": 5})]),
-        ("verify-all", cmd_verify_all, []),
+        ("verify-all", cmd_verify_all, [seed]),
     ]
     for name, fn, extra in specs:
         sub = subs.add_parser(name)

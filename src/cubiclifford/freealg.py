@@ -1,8 +1,11 @@
 """The free algebra k<x,y>: words, noncommutative polynomials, relations.
 
 Words are plain strings over the alphabet ``xy`` ("" is the empty word,
-printed as "1").  Polynomials are zero-free dicts word -> scalar, wrapped
-in :class:`NcPoly` together with their field.  NcPoly and
+printed as "1"), ordered by degree and then by x > y at the first
+differing letter (:func:`word_key`).  Under this order the normal words
+of the generic Clifford system are y^i (xy^2)^j (xy)^k (x^2y)^l x^m.
+Polynomials are zero-free dicts word -> scalar, wrapped in
+:class:`NcPoly` together with their field.  NcPoly and
 ``commgeo.CommPoly`` share one arithmetic, :class:`SparsePoly`; its term
 accumulation ``add_term`` also builds completion's S-polynomials.
 """
@@ -14,42 +17,14 @@ import re
 
 from .errors import FieldMismatch
 
-ALPHABET = "xy"
-
 NEG_INF = "-inf"  # degree of the zero polynomial
 
 
-class WordOrder:
-    """Graded order on words, ties broken lexicographically.
-
-    ``big_letter`` is the letter that wins a lexicographic tie-break.
-    The default ``x`` makes the normal words of the generic Clifford
-    system come out as y^i (xy^2)^j (xy)^k (x^2y)^l x^m.
-    """
-
-    def __init__(self, big_letter: str = "x"):
-        if big_letter not in ALPHABET:
-            raise ValueError("big_letter must be 'x' or 'y'")
-        self.big_letter = big_letter
-        small = "y" if big_letter == "x" else "x"
-        # translate so that plain (len, str) comparison realizes the order
-        self._trans = str.maketrans(big_letter + small, "ba")
-        self._untrans = str.maketrans("ba", big_letter + small)
-
-    def key(self, word: str):
-        return (len(word), word.translate(self._trans))
-
-    def encode(self, word: str) -> str:
-        return word.translate(self._trans)
-
-    def decode(self, encoded: str) -> str:
-        return encoded.translate(self._untrans)
-
-    def __eq__(self, other):
-        return isinstance(other, WordOrder) and other.big_letter == self.big_letter
-
-    def __repr__(self):
-        return f"WordOrder({self.big_letter!r})"
+def word_key(word: str):
+    """Sort key that lists words from the largest down.  As characters,
+    'x' < 'y': within one length the order is string order reversed, so
+    ``(-len(w), w)`` realizes it with no translation."""
+    return (-len(word), word)
 
 
 def add_term(terms, m, c, field):
@@ -172,16 +147,11 @@ class NcPoly(SparsePoly):
     def degree(self):
         return max(map(len, self.terms), default=NEG_INF)
 
-    def sorted_terms(self, order: WordOrder | None = None):
-        order = order or WordOrder()
-        return sorted(self.terms.items(), key=lambda wc: order.key(wc[0]),
-                      reverse=True)
-
-    def serialize(self, order: WordOrder | None = None) -> str:
+    def serialize(self) -> str:
         """Canonical text form "c1*w1 + c2*w2 + ..." (words as letters, 1
-        for the empty word)."""
-        return " + ".join(f"{c}*{w or '1'}"
-                          for w, c in self.sorted_terms(order)) or "0"
+        for the empty word), largest word first."""
+        terms = sorted(self.terms.items(), key=lambda wc: word_key(wc[0]))
+        return " + ".join(f"{c}*{w or '1'}" for w, c in terms) or "0"
 
     def __repr__(self):
         return f"NcPoly({self.serialize()})"

@@ -2,16 +2,17 @@
 
 A :class:`RewriteSystem` holds oriented rules ``lead -> tail`` (the
 polynomial lead - tail lies in the ideal) with every tail word strictly
-smaller than the lead under a graded-lex order.  Completion resolves all
-overlap ambiguities among leads up to a total-degree bound, adjoining
-irreducible S-polynomials as new rules, so normal forms are unique for
-inputs within the bound.  Nothing is ever claimed beyond the bound.
+smaller than the lead.  The order is graded, and x > y decides at the
+first differing letter.  Completion resolves all overlap ambiguities among
+leads up to a total-degree bound, adjoining irreducible S-polynomials as
+new rules, so normal forms are unique for inputs within the bound.
+Nothing is ever claimed beyond the bound.
 
-Internally words are re-encoded into the alphabet a < b, where plain
-(len, str) comparison realizes the order.  The reducer keeps its pending
-words in a min-heap keyed by (-len(w), w with a and b swapped): the swap
-reverses the order within one length, so the heap pops the largest word
-first with no custom comparator.
+Words stay x/y strings throughout.  As characters, 'x' < 'y': within
+one length the order is plain string order reversed, so the key
+``freealg.word_key(w) = (-len(w), w)`` lists words from the largest down:
+the reducer's min-heap pops the largest pending word first with no custom
+comparator and no translation.
 """
 
 from __future__ import annotations
@@ -20,15 +21,11 @@ import heapq
 import itertools
 
 from .errors import BudgetExceeded, DegreeOutOfRange
-from .freealg import NcPoly, WordOrder, add_term
-
-
-#: Swapping the encoded letters reverses the order of words of one length.
-_SWAP = str.maketrans("ab", "ba")
+from .freealg import NcPoly, add_term, word_key
 
 
 class RewriteRule:
-    """lead -> tail, both in the x/y alphabet."""
+    """lead -> tail, a word and a polynomial."""
 
     def __init__(self, lead: str, tail: NcPoly):
         self.lead = lead
@@ -39,68 +36,51 @@ class RewriteRule:
 
 
 class RewriteSystem:
-    def __init__(self, field, order: WordOrder, degree_bound: int):
+    def __init__(self, field):
         self.field = field
-        self.order = order
-        self.degree_bound = degree_bound
         self.confluent_to = 0
         self.inconsistent = False  # a nonzero scalar entered the ideal
-        self._rules = []  # list of (lead_enc, tail_dict enc-word -> scalar)
-        self._enc_rules = ()  # reducer form, rebuilt on change
+        self._rules = []  # list of (lead, tail dict word -> scalar)
+        self._reducer_rules = ()  # reducer form, rebuilt on change
 
     # -- rule bookkeeping -------------------------------------------------
 
     def _rebuild(self):
-        self._rules.sort(key=lambda r: (len(r[0]), r[0]))
-        self._enc_rules = tuple(
-            (lead, tuple(sorted(tail.items()))) for lead, tail in self._rules
-        )
+        # smallest lead first: shorter, then larger string
+        self._rules.sort(key=lambda r: word_key(r[0]), reverse=True)
+        self._reducer_rules = tuple(
+            (lead, tuple(tail.items())) for lead, tail in self._rules)
 
     @property
     def rules(self):
-        dec = self.order.decode
-        out = []
-        for lead, tail in self._rules:
-            poly = NcPoly(self.field, {dec(w): c for w, c in tail.items()})
-            out.append(RewriteRule(dec(lead), poly))
-        return out
+        return [RewriteRule(lead, NcPoly(self.field, tail))
+                for lead, tail in self._rules]
 
     def dump(self) -> str:
         """One rule per line: "lead -> tail" in text serialization."""
-        lines = []
-        for rule in self.rules:
-            lines.append(f"{rule.lead or '1'} -> {rule.tail.serialize(self.order)}")
-        return "\n".join(lines)
+        return "\n".join(f"{rule.lead or '1'} -> {rule.tail.serialize()}"
+                         for rule in self.rules)
 
     # -- reduction --------------------------------------------------------
 
-    def _reduce_enc(self, terms: dict) -> dict:
-        """Reduce encoded terms to (bound-certified) normal form."""
-        return _reduce_generic(terms, self._enc_rules, self.field)
-
     def normal_form(self, p: NcPoly) -> NcPoly:
-        deg = p.degree()
         if p.is_zero():
             return p
+        deg = p.degree()
         if deg > self.confluent_to:
             raise DegreeOutOfRange(
                 f"degree {deg} exceeds certified bound {self.confluent_to}")
-        enc = self.order.encode
-        terms = {enc(w): c for w, c in p.terms.items()}
-        red = self._reduce_enc(terms)
-        dec = self.order.decode
-        return NcPoly(self.field, {dec(w): c for w, c in red.items()})
+        return NcPoly(self.field, _reduce_generic(p.terms, self._reducer_rules,
+                                                  self.field))
 
     # -- normal-word enumeration -----------------------------------------
 
-    def _leads(self):
-        return [lead for lead, _ in self._rules]
-
-    def basis_words_enc(self, n: int):
+    def basis_words(self, n: int):
+        """All normal words of degree n, in ascending order."""
         if n > self.confluent_to:
             raise DegreeOutOfRange(
                 f"degree {n} exceeds certified bound {self.confluent_to}")
-        leads = self._leads()
+        leads = [lead for lead, _ in self._rules]
         maxlead = max((len(l) for l in leads), default=0)
         if n == 0:
             return [] if self.inconsistent else [""]
@@ -108,7 +88,7 @@ class RewriteSystem:
         for _ in range(n):
             nxt = []
             for w in level:
-                for letter in "ab":
+                for letter in "yx":
                     nw = w + letter
                     tailpiece = nw[-maxlead:] if maxlead else nw
                     if any(tailpiece.endswith(l) for l in leads if l):
@@ -117,17 +97,12 @@ class RewriteSystem:
             level = nxt
         return level
 
-    def basis_words(self, n: int):
-        """All normal words of degree n, in ascending order."""
-        dec = self.order.decode
-        return [dec(w) for w in self.basis_words_enc(n)]
-
     def graded_dimension(self, n: int) -> int:
-        return len(self.basis_words_enc(n))
+        return len(self.basis_words(n))
 
 
 def _reduce_generic(terms, rules, field):
-    """Reduce an encoded term dict {word: coeff} modulo the rules.
+    """Reduce a term dict {word: coeff} modulo the rules.
 
     Coefficients are nonzero elements of ``field``, as in ``NcPoly.terms``.
     Rules are ``(lead, ((word, coeff), ...))`` with every tail word
@@ -136,22 +111,22 @@ def _reduce_generic(terms, rules, field):
     leftmost reducible position, by the first matching rule.
 
     The pending words sit in a dict of coefficients and a min-heap keyed
-    by ``(-len(w), w.translate(_SWAP))``, which pops the largest word
-    first.  A word is pushed when it enters the dict; a popped word no
-    longer in the dict was cancelled to zero and is skipped, so a word
-    cancelled and then re-created leaves only a stale entry behind.  A
-    rewrite of w writes only words smaller than w (tails are smaller than
-    leads and the order is a monomial order), so a popped word that no
-    rule matches is final.
+    by ``(-len(w), w)`` (``freealg.word_key``, inlined), which pops the
+    largest word first.  A word is pushed when it enters the dict; a
+    popped word no longer in the dict was cancelled to zero and is
+    skipped, so a word cancelled and then re-created leaves only a stale
+    entry behind.  A rewrite of w writes only words smaller than w (tails
+    are smaller than leads and the order is a monomial order), so a popped
+    word that no rule matches is final.
     """
     add, mul, zero = field.add, field.mul, field.zero
     push, pop = heapq.heappush, heapq.heappop
     work = dict(terms)
-    heap = [(-len(w), w.translate(_SWAP), w) for w in work]
+    heap = [(-len(w), w) for w in work]
     heapq.heapify(heap)
     result = {}
     while heap:
-        w = pop(heap)[2]
+        w = pop(heap)[1]
         c = work.pop(w, None)
         if c is None:  # a stale entry: w was cancelled after its push
             continue
@@ -177,7 +152,7 @@ def _reduce_generic(terms, rules, field):
             old = work.get(nw)
             if old is None:
                 work[nw] = mul(c, tc)
-                push(heap, (-len(nw), nw.translate(_SWAP), nw))
+                push(heap, (-len(nw), nw))
                 continue
             s = add(old, mul(c, tc))
             if s != zero:
@@ -188,9 +163,9 @@ def _reduce_generic(terms, rules, field):
 
 
 def _orient(system: RewriteSystem, red: dict):
-    """Turn a reduced, nonzero encoded term dict into (lead, tail)."""
+    """Turn a reduced, nonzero term dict into (lead, tail)."""
     F = system.field
-    lead = max(red, key=lambda u: (len(u), u))
+    lead = min(red, key=word_key)
     inv = F.inv(red[lead])
     tail = {w: F.neg(F.mul(inv, c)) for w, c in red.items() if w != lead}
     return lead, tail
@@ -201,8 +176,7 @@ def _orient(system: RewriteSystem, red: dict):
 RULE_BUDGET = 20000
 
 
-def complete(relations, order: WordOrder | None = None, degree_bound: int = 13,
-             field=None) -> RewriteSystem:
+def complete(relations, degree_bound: int = 13, field=None) -> RewriteSystem:
     """Complete a list of NcPoly relations up to ``degree_bound``.
 
     One heap, ordered by (degree, insertion), holds every polynomial still
@@ -219,27 +193,25 @@ def complete(relations, order: WordOrder | None = None, degree_bound: int = 13,
     the system is flagged ``inconsistent`` (the quotient is the zero ring)
     and completion stops.
     """
-    order = order or WordOrder()
     if field is None:
         if not relations:
             raise ValueError("need a field when no relations are given")
         field = relations[0].field
     F = field
-    system = RewriteSystem(F, order, degree_bound)
-    enc = order.encode
-    queue = []  # heap of (degree, tiebreak, encoded term dict)
+    system = RewriteSystem(F)
+    queue = []  # heap of (degree, tiebreak, term dict)
     tiebreak = itertools.count()
     for rel in relations:
         if not rel.is_zero():
-            heapq.heappush(queue, (rel.degree(), next(tiebreak),
-                                   {enc(w): c for w, c in rel.terms.items()}))
+            heapq.heappush(queue, (rel.degree(), next(tiebreak), rel.terms))
 
     pops = 0
     while queue:
         pops += 1
         if pops > RULE_BUDGET * 10:
             raise BudgetExceeded("completion did not settle within budget")
-        red = system._reduce_enc(heapq.heappop(queue)[2])
+        red = _reduce_generic(heapq.heappop(queue)[2], system._reducer_rules,
+                              F)
         if not red:
             continue
         lead, tail = _orient(system, red)
@@ -263,7 +235,8 @@ def complete(relations, order: WordOrder | None = None, degree_bound: int = 13,
             heapq.heappush(queue, (len(l2), next(tiebreak), poly))
 
     if not system.inconsistent:
-        system._rules = [(lead, _reduce_generic(tail, system._enc_rules, F))
+        rules = system._reducer_rules
+        system._rules = [(lead, _reduce_generic(tail, rules, F))
                          for lead, tail in system._rules]
         system._rebuild()
     system.confluent_to = degree_bound

@@ -242,15 +242,18 @@ def test_usage_error_exit_code_two(capsys):
     assert captured.err.strip()
 
 
-@pytest.mark.parametrize("name", ["PRIME", "SEED", "DEGREE_BOUND"])
-def test_malformed_env_default_is_usage_error(capsys, monkeypatch, name):
-    monkeypatch.setenv(f"CUBICLIFFORD_{name}", "abc")
-    code = main(["relation-check"])
+@pytest.mark.parametrize("argv", [
+    ["quotient", "--point", "1,0,0,1,4,0", "--seed", "1"],
+    ["verify-all", "--degree-bound", "20"],
+], ids=["quotient-seed", "verify-all-degree-bound"])
+def test_flag_of_another_subcommand_is_usage_error(capsys, argv):
+    # --seed and --degree-bound belong only to the subcommands that read them
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     captured = capsys.readouterr()
-    assert code == 2
+    assert exc.value.code == 2
     assert captured.out == ""
-    assert len(captured.err.strip().splitlines()) == 1
-    assert f"CUBICLIFFORD_{name}" in captured.err
+    assert argv[-2] in captured.err
 
 
 def test_unwritable_dump_is_usage_error(capsys, tmp_path):
@@ -289,8 +292,8 @@ def test_human_output(capsys):
     assert "normal_form:" in out
 
 
-def test_env_default_prime(capsys, monkeypatch):
+def test_environment_does_not_set_the_prime(capsys, monkeypatch):
     monkeypatch.setenv("CUBICLIFFORD_PRIME", "31")
     code, payload = run_json(capsys, "relation-check")
     assert code == 0
-    assert payload["prime"] == 31
+    assert payload["prime"] == 13

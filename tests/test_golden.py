@@ -26,9 +26,7 @@ def _inputs():
     return module
 
 
-def test_recorded_stdout_digests(monkeypatch):
-    for name in ("PRIME", "SEED", "DEGREE_BOUND"):
-        monkeypatch.delenv(f"CUBICLIFFORD_{name}", raising=False)
+def test_recorded_stdout_digests():
     inputs = _inputs()
     golden = json.loads((PERFBENCH / "golden.json").read_text())
     golden = golden["stdout_sha256"]

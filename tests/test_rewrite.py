@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -11,7 +12,8 @@ from cubiclifford.errors import BudgetExceeded, DegreeOutOfRange
 from cubiclifford.fields import make_field
 from cubiclifford.findim import (DEGREE_BOUND, build_quotient,
                                  quotient_relations)
-from cubiclifford.freealg import NcPoly, WordOrder, clifford_relations, commutator
+from cubiclifford.freealg import (NcPoly, clifford_relations, commutator,
+                                  word_key)
 from cubiclifford.rewrite import _reduce_generic, complete, hilbert_oracle
 
 # first coefficients of 1/((1-t)^5 (1+t) (1+t+t^2)^2), frozen from the
@@ -156,13 +158,62 @@ def test_rational_coefficients_supported(rationals):
         assert system.graded_dimension(n) == hilbert_oracle(n)
 
 
+def with_large(terms, large):
+    """``terms`` with x and y swapped when y is to be the large letter:
+    reducing the swapped words under x > y is reducing the words with y as
+    the large letter, up to renaming the letters."""
+    if large == "x":
+        return dict(terms)
+    swap = str.maketrans("xy", "yx")
+    return {w.translate(swap): c for w, c in terms.items()}
+
+
+def relations_with_large(relations, large):
+    return [NcPoly(rel.field, with_large(rel.terms, large))
+            for rel in relations]
+
+
 def test_alternate_order_still_matches_hilbert(f13):
     # with y as the large letter the basis words differ but the graded
     # dimensions must still match the series
-    system = complete(clifford_relations(f13), order=WordOrder("y"),
+    system = complete(relations_with_large(clifford_relations(f13), "y"),
                       degree_bound=8)
     for n in range(9):
         assert system.graded_dimension(n) == hilbert_oracle(n)
+    # the Clifford relations are swap-invariant up to sign, a quotient's
+    # are not: its graded dimensions must not depend on the order either
+    rels = quotient_relations(f13, central_point(f13, 7, 2, 5, 7, 3, 12))
+    dims = [[complete(relations_with_large(rels, large),
+                      degree_bound=DEGREE_BOUND).graded_dimension(n)
+             for n in range(DEGREE_BOUND + 1)] for large in "xy"]
+    assert dims[0] == dims[1] and sum(dims[0]) == 9
+
+
+def greater(u, v):
+    """u > v in the word order, decided without freealg.word_key: the
+    longer word, or at one length the word with x at the first difference."""
+    if len(u) != len(v):
+        return len(u) > len(v)
+    for a, b in zip(u, v):
+        if a != b:
+            return a == "x"
+    return False
+
+
+def test_word_key_realizes_the_order(system13, f13):
+    words = ["".join(t) for n in range(7)
+             for t in itertools.product("xy", repeat=n)]
+    for u in words:
+        for v in words:
+            assert (word_key(u) < word_key(v)) == greater(u, v)
+    for n in range(9):
+        ws = system13.basis_words(n)
+        assert all(greater(b, a) for a, b in zip(ws, ws[1:]))
+    text = NcPoly(f13, {w: 1 for w in words if len(w) <= 4}).serialize()
+    printed = [t.split("*")[1] for t in text.split(" + ")]
+    printed = ["" if w == "1" else w for w in printed]
+    assert len(printed) == 31
+    assert all(greater(a, b) for a, b in zip(printed, printed[1:]))
 
 
 def test_dump_format(system13):
@@ -182,7 +233,7 @@ def reference_reduce_terms(terms, rules, field, recreated=None):
     cancelled = set()
     result = {}
     while work:
-        w = max(work, key=lambda u: (len(u), u))
+        w = min(work, key=lambda u: (-len(u), u))
         c = work.pop(w)
         best_pos = -1
         best_rule = None
@@ -225,51 +276,51 @@ def random_int_terms(rng, count, lo, hi, coeffs):
     return out
 
 
-@pytest.mark.parametrize("big_letter", ["x", "y"])
+@pytest.mark.parametrize("large", ["x", "y"])
 @pytest.mark.parametrize("bound,lo", [(13, 0), (20, 14)])
-def test_reducer_matches_prime_field_reference(f13, big_letter, bound, lo):
-    order = WordOrder(big_letter)
-    system = complete(clifford_relations(f13), order=order,
+def test_reducer_matches_prime_field_reference(f13, large, bound, lo):
+    system = complete(relations_with_large(clifford_relations(f13), large),
                       degree_bound=bound)
-    rng = random.Random(f"reducer:{big_letter}:{bound}")
+    rules = system._reducer_rules
+    rng = random.Random(f"reducer:{large}:{bound}")
     for terms in random_int_terms(rng, 100, lo, bound, range(1, 13)):
-        enc = {order.encode(w): c for w, c in terms.items()}
-        assert (_reduce_generic(enc, system._enc_rules, f13)
-                == reference_reduce_terms(enc, system._enc_rules, f13))
+        terms = with_large(terms, large)
+        assert (_reduce_generic(terms, rules, f13)
+                == reference_reduce_terms(terms, rules, f13))
 
 
-@pytest.mark.parametrize("big_letter", ["x", "y"])
-def test_reducer_matches_rational_reference(rationals, big_letter):
-    order = WordOrder(big_letter)
-    system = complete(clifford_relations(rationals), order=order,
-                      degree_bound=16)
-    rng = random.Random(f"reducer-q:{big_letter}")
+@pytest.mark.parametrize("large", ["x", "y"])
+def test_reducer_matches_rational_reference(rationals, large):
+    system = complete(
+        relations_with_large(clifford_relations(rationals), large),
+        degree_bound=16)
+    rules = system._reducer_rules
+    rng = random.Random(f"reducer-q:{large}")
     coeffs = [Fraction(n, d) for n in range(-4, 5) if n for d in (1, 2, 3)]
     for terms in random_int_terms(rng, 60, 0, 16, coeffs):
-        enc = {order.encode(w): c for w, c in terms.items()}
-        assert (_reduce_generic(enc, system._enc_rules, rationals)
-                == reference_reduce_terms(enc, system._enc_rules, rationals))
+        terms = with_large(terms, large)
+        assert (_reduce_generic(terms, rules, rationals)
+                == reference_reduce_terms(terms, rules, rationals))
 
 
 def test_reducer_skips_cancelled_words(f13, system13):
-    # bb -> aa on encoded words: rewriting bba cancels the pending aaa,
-    # rewriting abb writes it again, and the heap holds a stale entry for
-    # it; without abb the stale entry is all that is left of aaa
-    rules = (("bb", (("aa", 1),)),)
-    for terms, expected in [({"bba": 1, "abb": 1, "aaa": 12}, {"aaa": 1}),
-                            ({"bba": 1, "aaa": 12}, {})]:
+    # xx -> yy: rewriting xxy cancels the pending yyy, rewriting yxx
+    # writes it again, and the heap holds a stale entry for it; without
+    # yxx the stale entry is all that is left of yyy
+    rules = (("xx", (("yy", 1),)),)
+    for terms, expected in [({"xxy": 1, "yxx": 1, "yyy": 12}, {"yyy": 1}),
+                            ({"xxy": 1, "yyy": 12}, {})]:
         assert _reduce_generic(terms, rules, f13) == expected
         assert reference_reduce_terms(terms, rules, f13) == expected
     # seeded words of C whose reduction cancels a pending word to zero and
     # re-creates it before it is popped
     rng = random.Random("cancel-recreate")
     hits = 0
+    rules = system13._reducer_rules
     for terms in random_int_terms(rng, 40, 0, 13, range(1, 13)):
-        enc = {system13.order.encode(w): c for w, c in terms.items()}
         recreated = []
-        expected = reference_reduce_terms(enc, system13._enc_rules, f13,
-                                          recreated)
-        assert _reduce_generic(enc, system13._enc_rules, f13) == expected
+        expected = reference_reduce_terms(terms, rules, f13, recreated)
+        assert _reduce_generic(terms, rules, f13) == expected
         hits += bool(recreated)
     assert hits >= 3
 
@@ -400,10 +451,10 @@ def test_reducer_matches_reference_on_quotient_systems(f13, coords):
     system = complete(quotient_relations(f13, central_point(f13, *coords)),
                       degree_bound=DEGREE_BOUND)
     rng = random.Random(f"reducer-quotient:{coords}")
+    rules = system._reducer_rules
     for terms in random_int_terms(rng, 40, 0, DEGREE_BOUND, range(1, 13)):
-        enc = {system.order.encode(w): c for w, c in terms.items()}
-        assert (_reduce_generic(enc, system._enc_rules, f13)
-                == reference_reduce_terms(enc, system._enc_rules, f13))
+        assert (_reduce_generic(terms, rules, f13)
+                == reference_reduce_terms(terms, rules, f13))
 
 
 def test_smooth_quotient_build_reduces_less(f13, monkeypatch):
