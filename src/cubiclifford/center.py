@@ -41,7 +41,6 @@ def central_elements(field) -> CenterElements:
 
     12 words once z1 z2 is expanded."""
     F = field
-    one = F.one
     third = F.inv(F.of(3))
     half = F.inv(F.of(2))
 
@@ -53,8 +52,8 @@ def central_elements(field) -> CenterElements:
                        "xyyxxy": -1, "yxxyxy": -1, "xxxyyy": -3 * half})
     z4 = words.add(z1.mul(z2).scale(9 * half))
 
-    z5 = NcPoly(F, {"xyxy": one, "yyxx": F.neg(one)})
-    z5_alt = NcPoly(F, {"yxyx": one, "xxyy": F.neg(one)})
+    z5 = NcPoly(F, {"xyxy": 1, "yyxx": -1})
+    z5_alt = NcPoly(F, {"yxyx": 1, "xxyy": -1})
 
     return CenterElements(z0, z1, z2, z3, z4, z5, z5_alt)
 
@@ -70,7 +69,7 @@ def formal_discriminant_nc(field) -> NcPoly:
 
 def verify_centrality(system, p: NcPoly) -> bool:
     """True iff p commutes with both generators modulo the relations."""
-    if not p.is_zero() and p.degree() + 1 > system.confluent_to:
+    if p.degree() + 1 > system.confluent_to:
         raise DegreeOutOfRange("commutators would exceed the certified bound")
     F = system.field
     for letter in ("x", "y"):
@@ -98,9 +97,8 @@ def center_relation_residue(system, field) -> NcPoly:
     if system.confluent_to < 12:
         raise DegreeOutOfRange("center relation lives in degree 12")
     z = central_elements(field)
-    F = field
     delta = formal_discriminant_nc(field)
     expr = (z.z4.mul(z.z4)
             .sub(z.z5.mul(z.z5).mul(z.z5))
-            .add(delta.scale(F.of(27))))
+            .add(delta.scale(27)))
     return system.normal_form(expr)

@@ -34,14 +34,19 @@ from .rewrite import complete, hilbert_oracle
 
 SCHEMA = 1
 
+#: Completion bound of center-check, relation-check and verify-all, whose
+#: Hilbert series check runs to this degree; the center relation lives in
+#: degree 12.
+DEGREE_BOUND = 13
+
 
 def _add_common(sub):
     sub.add_argument("--prime", type=int, default=13)
     sub.add_argument("--output", choices=("json", "human"), default="json")
 
 
-def _emit(args, payload, ok=True):
-    payload = {"schema": SCHEMA, "ok": bool(ok), **payload}
+def _emit(args, field, payload, ok=True):
+    payload = {"schema": SCHEMA, "ok": bool(ok), "prime": field.p, **payload}
     if args.output == "human":
         for k, v in payload.items():
             print(f"{k}: {v}")
@@ -76,10 +81,8 @@ def _graded_system(field, bound):
 # -- subcommand implementations ------------------------------------------
 
 
-def cmd_hilbert(args):
-    field = make_field("prime", args.prime)
-    bound = max(args.degree_bound, args.max_degree)
-    system = _graded_system(field, bound)
+def cmd_hilbert(args, field):
+    system = _graded_system(field, args.max_degree)
     table = []
     ok = True
     for n in range(args.max_degree + 1):
@@ -88,44 +91,39 @@ def cmd_hilbert(args):
         table.append({"degree": n, "engine": got, "oracle": want,
                       "match": got == want})
         ok = ok and got == want
-    return _emit(args, {"prime": args.prime, "table": table}, ok)
+    return _emit(args, field, {"table": table}, ok)
 
 
-def cmd_nf(args):
-    field = make_field("prime", args.prime)
-    system = _graded_system(field, args.degree_bound)
+def cmd_nf(args, field):
     poly = parse_poly(field, args.poly)
+    # the relations are homogeneous: completing to the polynomial's own
+    # degree gives the same normal form as any larger bound
+    system = _graded_system(field, max(poly.degree(), 0))
     nf = system.normal_form(poly)
-    return _emit(args, {"prime": args.prime, "input": args.poly,
-                        "normal_form": nf.serialize()})
+    return _emit(args, field, {"input": args.poly,
+                               "normal_form": nf.serialize()})
 
 
-def cmd_center_check(args):
-    field = make_field("prime", args.prime)
-    system = _graded_system(field, args.degree_bound)
-    rep = centrality_report(system, field)
-    return _emit(args, {"prime": args.prime, "verdicts": rep},
-                 all(rep.values()))
+def cmd_center_check(args, field):
+    rep = centrality_report(_graded_system(field, DEGREE_BOUND), field)
+    return _emit(args, field, {"verdicts": rep}, all(rep.values()))
 
 
-def cmd_relation_check(args):
-    field = make_field("prime", args.prime)
-    system = _graded_system(field, max(args.degree_bound, 13))
-    residue = center_relation_residue(system, field)
+def cmd_relation_check(args, field):
+    residue = center_relation_residue(_graded_system(field, DEGREE_BOUND),
+                                      field)
     holds = residue.is_zero()
-    payload = {"prime": args.prime, "relation_holds": holds}
+    payload = {"relation_holds": holds}
     if not holds:
         payload["residue"] = residue.serialize()
-    return _emit(args, payload, holds)
+    return _emit(args, field, payload, holds)
 
 
-def cmd_singular_check(args):
-    field = make_field("prime", args.prime)
+def cmd_singular_check(args, field):
     pt = _parse_point(field, args.point)
     partials = delta_partials(field)
     vals = [int(p.evaluate([pt.a, pt.b, pt.c, pt.d])) for p in partials]
     payload = {
-        "prime": args.prime,
         "point": [int(v) for v in pt.coords()],
         "discriminant": int(discriminant_value(field, pt.a, pt.b, pt.c,
                                                pt.d)),
@@ -134,7 +132,7 @@ def cmd_singular_check(args):
         "on_fiber": point_on_fiber(field, pt),
         "singular_locus_member": singular_locus_membership(field, pt),
     }
-    return _emit(args, payload)
+    return _emit(args, field, payload)
 
 
 def _check_writable(path):
@@ -145,8 +143,7 @@ def _check_writable(path):
         raise ValueError(f"cannot write --dump: {path}")
 
 
-def cmd_quotient(args):
-    field = make_field("prime", args.prime)
+def cmd_quotient(args, field):
     pt = _parse_point(field, args.point)
     if args.dump:
         _check_writable(args.dump)
@@ -156,9 +153,8 @@ def cmd_quotient(args):
         "center_images_match": [int(v) for v in reduce_center_images(alg)]
         == [int(v) for v in pt.coords()],
     }
-    payload = {"prime": args.prime, "point": [int(v) for v in pt.coords()],
-               "dim": alg.dim, "basis": [w or "1" for w in alg.basis],
-               "checks": checks}
+    payload = {"point": [int(v) for v in pt.coords()], "dim": alg.dim,
+               "basis": [w or "1" for w in alg.basis], "checks": checks}
     if args.dump:
         try:
             with open(args.dump, "w") as fh:
@@ -166,16 +162,15 @@ def cmd_quotient(args):
         except OSError as exc:
             raise ValueError(f"cannot write --dump: {exc}") from None
         payload["dumped_to"] = args.dump
-    return _emit(args, payload, all(checks.values()))
+    return _emit(args, field, payload, all(checks.values()))
 
 
-def cmd_irreps(args):
-    field = make_field("prime", args.prime)
+def cmd_irreps(args, field):
     pt = _parse_point(field, args.point)
-    prof = locus_profile(field, pt, seed=args.seed)
+    prof = locus_profile(field, pt)
     dim1 = search_irreps_dim1(field, pt)
     payload = {
-        "prime": args.prime, "point": [int(v) for v in pt.coords()],
+        "point": [int(v) for v in pt.coords()],
         "dim": prof.algebra.dim,
         "blocks": [list(b) for b in prof.blocks.blocks],
         "gram_rank": prof.gram_rank,
@@ -183,31 +178,27 @@ def cmd_irreps(args):
         "sum_of_squares": prof.sum_squares,
         "dim1_reps": [list(ab) for ab in dim1],
     }
-    return _emit(args, payload)
+    return _emit(args, field, payload)
 
 
-def cmd_search_dim2(args):
-    field = make_field("prime", args.prime)
+def cmd_search_dim2(args, field):
     res = search_irreps_dim2(field)
-    payload = {"prime": args.prime,
-               "irreducible_pairs": len(res["irreducible_pairs"]),
+    payload = {"irreducible_pairs": len(res["irreducible_pairs"]),
                "reducible_solutions": res["reducible_solutions"],
                "x_forms_tested": res["x_forms_tested"]}
-    return _emit(args, payload, len(res["irreducible_pairs"]) == 0)
+    return _emit(args, field, payload, len(res["irreducible_pairs"]) == 0)
 
 
-def cmd_point_module(args):
-    field = make_field("prime", args.prime)
+def cmd_point_module(args, field):
     triple = _parse_triple(field, args.triple)
     nxt = solve_next(field, triple)
     inv = gamma_invariants(field, triple)
     payload = {
-        "prime": args.prime,
         "next_point": [int(nxt.x), int(nxt.y)],
         "gamma_invariants": {k: int(v) for k, v in inv.items()},
         "gamma_squared_equals_XYZ":
-            field.mul(inv["gamma"], inv["gamma"])
-            == field.mul(field.mul(inv["X"], inv["Y"]), inv["Z"]),
+            field.of(inv["gamma"] * inv["gamma"])
+            == field.of(inv["X"] * inv["Y"] * inv["Z"]),
         "predicted_simple_quotient_dims":
             sorted(predict_simple_quotient(field, triple)),
         "abc_system_admits_solution":
@@ -218,28 +209,25 @@ def cmd_point_module(args):
         payload["central_character"] = [int(v) for v in cc.coords()]
         payload["central_character_singular"] = singular_locus_membership(
             field, cc)
-    return _emit(args, payload)
+    return _emit(args, field, payload)
 
 
-def cmd_disc_locus(args):
-    field = make_field("prime", args.prime)
+def cmd_disc_locus(args, field):
     ells = [int(v) for v in args.ell.split(",")]
     report = sample_locus(field, ells, n_per_stratum=args.samples,
                           seed=args.seed)
-    payload = {"prime": args.prime, "seed": args.seed,
-               "samples_per_stratum": args.samples,
+    payload = {"seed": args.seed, "samples_per_stratum": args.samples,
                "report": {str(k): v for k, v in report.items()}}
-    return _emit(args, payload)
+    return _emit(args, field, payload)
 
 
-def cmd_verify_all(args):
+def cmd_verify_all(args, field):
     """Umbrella: run every check once at modest sample sizes."""
-    field = make_field("prime", args.prime)
     results = {}
-    system = _graded_system(field, 13)
+    system = _graded_system(field, DEGREE_BOUND)
 
     hilbert_ok = all(system.graded_dimension(n) == hilbert_oracle(n)
-                     for n in range(14))
+                     for n in range(DEGREE_BOUND + 1))
     results["hilbert_series"] = hilbert_ok
 
     cent = centrality_report(system, field)
@@ -286,8 +274,8 @@ def cmd_verify_all(args):
     results["trichotomy"] = trichotomy_holds(locus, 3)
 
     ok = all(results.values())
-    payload = {"prime": args.prime, "seed": args.seed, "results": results}
-    return _emit(args, payload, ok)
+    payload = {"seed": args.seed, "results": results}
+    return _emit(args, field, payload, ok)
 
 
 def build_parser():
@@ -298,18 +286,17 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     seed = ("--seed", {"type": int, "default": 0})
-    bound = ("--degree-bound", {"type": int, "default": 13})
     specs = [
         ("hilbert", cmd_hilbert,
-         [bound, ("--max-degree", {"type": int, "default": 13})]),
-        ("nf", cmd_nf, [bound, ("--poly", {"required": True})]),
-        ("center-check", cmd_center_check, [bound]),
-        ("relation-check", cmd_relation_check, [bound]),
+         [("--max-degree", {"type": int, "default": 13})]),
+        ("nf", cmd_nf, [("--poly", {"required": True})]),
+        ("center-check", cmd_center_check, []),
+        ("relation-check", cmd_relation_check, []),
         ("singular-check", cmd_singular_check,
          [("--point", {"required": True})]),
         ("quotient", cmd_quotient,
          [("--point", {"required": True}), ("--dump", {"default": None})]),
-        ("irreps", cmd_irreps, [seed, ("--point", {"required": True})]),
+        ("irreps", cmd_irreps, [("--point", {"required": True})]),
         ("search-dim2", cmd_search_dim2, []),
         ("point-module", cmd_point_module, [("--triple", {"required": True})]),
         ("disc-locus", cmd_disc_locus,
@@ -329,7 +316,7 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return args.func(args, make_field("prime", args.prime))
     except CubicliffordError as exc:
         print(json.dumps({"schema": SCHEMA, "ok": False,
                           "error": type(exc).__name__,

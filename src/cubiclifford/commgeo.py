@@ -54,9 +54,8 @@ class CommPoly(SparsePoly):
 
     def diff(self, i):
         """Partial derivative in variable i."""
-        F = self.field
-        return CommPoly(F, self.nvars, {
-            e[:i] + (e[i] - 1,) + e[i + 1:]: F.mul(F.of(e[i]), c)
+        return CommPoly(self.field, self.nvars, {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: e[i] * c
             for e, c in self.terms.items() if e[i]})
 
     def evaluate(self, values):
@@ -65,9 +64,9 @@ class CommPoly(SparsePoly):
         total = F.zero
         for e, c in self.terms.items():
             for exp, v in zip(e, values):
-                c = F.mul(c, F.of(v ** exp))
-            total = F.add(total, c)
-        return total
+                c *= v ** exp
+            total += c
+        return F.of(total)
 
     def __repr__(self):
         return f"CommPoly({self.nvars} vars, {len(self.terms)} terms)"
@@ -174,7 +173,7 @@ def enumerate_center_fiber(field, a, b, c, d):
     # square roots table of F_p
     roots = {}
     for e in F.elements():
-        roots.setdefault(F.mul(e, e), []).append(e)
+        roots.setdefault(F.of(e * e), []).append(e)
     out = []
     for f in F.elements():
         for e in roots.get(_fiber_rhs(F, f, d_val), ()):

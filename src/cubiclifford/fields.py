@@ -1,17 +1,23 @@
 """Exact base fields: prime fields F_p (p != 2, 3) and the rationals.
 
 Scalars are plain Python objects: residues ``int`` in ``[0, p)`` for prime
-fields, ``fractions.Fraction`` for the rationals.  A field object supplies
-the arithmetic, so the rest of the package never touches ``%`` or
-``Fraction`` directly.  No formula of the package needs a root of unity:
-all are written over Z[1/6], so every such field serves every check.
+fields, ``fractions.Fraction`` for the rationals.  No formula of the
+package needs a root of unity: all are written over Z[1/6], so every such
+field serves every check.
 
-Row operations of the dense linear algebra are the one exception to
-per-scalar calls: they compute a whole row with the plain ``+ - *``
-operators, which are exact on ``int`` and ``Fraction`` alike, and then
-make one ``reduce_row`` call.  For F_p that maps the row back into
-``[0, p)``; for Q it is the identity.  Division never happens inside a
-row: pivots are inverted with ``inv`` first.
+The one rule: scalars are combined with the plain ``+ - *`` operators,
+which are exact on ``int`` and ``Fraction`` alike, and a result is put
+back in canonical form once, by ``of`` for a single scalar or by
+``reduce_row`` for a row.  For F_p that maps into ``[0, p)``; for Q it
+keeps a ``Fraction`` as it is.  Division never happens inside an
+expression: a divisor is inverted with ``inv`` first.  So a field
+supplies only canonical form and inversion, and the code that uses it is
+the same for F_p and Q.
+
+``of`` runs once per term in the reducer's inner loop, so it tests the
+exact type, ``type(n) is Fraction``: ``isinstance`` goes through the
+``__instancecheck__`` of ``Fraction``'s ABC metaclass and costs several
+times more on an ``int``.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """Arithmetic of F_p, with p prime and p not 2 or 3."""
+    """F_p, with p prime and p not 2 or 3: residues in ``[0, p)``."""
 
     kind = "prime"
 
@@ -63,21 +69,9 @@ class PrimeField:
         self.one = 1
 
     def of(self, n) -> int:
-        if isinstance(n, Fraction):
-            return self.mul(n.numerator % self.p, self.inv(n.denominator % self.p))
+        if type(n) is Fraction:
+            return n.numerator * self.inv(n.denominator) % self.p
         return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
 
     def reduce_row(self, xs):
         """Residues of a row of unreduced integers."""
@@ -88,9 +82,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def elements(self):
         return range(self.p)
@@ -106,7 +97,7 @@ class PrimeField:
 
 
 class RationalField:
-    """Arithmetic of Q via fractions.Fraction (always canonical)."""
+    """Q as ``fractions.Fraction``, which is always canonical."""
 
     kind = "rational"
     p = 0
@@ -117,19 +108,7 @@ class RationalField:
 
     def of(self, n) -> Fraction:
         """n as a Fraction; a Fraction is returned as it is (immutable)."""
-        return n if isinstance(n, Fraction) else Fraction(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
+        return n if type(n) is Fraction else Fraction(n)
 
     def reduce_row(self, xs):
         """Rationals are always canonical: the row itself."""
@@ -139,9 +118,6 @@ class RationalField:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
-
-    def div(self, a, b):
-        return Fraction(a) / b
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -44,7 +44,8 @@ class FinDimAlgebra:
         return v
 
     def mul_vec(self, u, v):
-        """Product of two coordinate vectors."""
+        """Product of two coordinate vectors, summed with ``+ *`` and
+        reduced once."""
         F = self.field
         out = [F.zero] * self.dim
         for i, a in enumerate(u):
@@ -53,11 +54,11 @@ class FinDimAlgebra:
             for j, b in enumerate(v):
                 if b == F.zero:
                     continue
-                c = F.mul(a, b)
+                c = a * b
                 for k, s in enumerate(self.table[i][j]):
                     if s != F.zero:
-                        out[k] = F.add(out[k], F.mul(c, s))
-        return out
+                        out[k] += c * s
+        return F.reduce_row(out)
 
     def basis_vectors(self):
         """Coordinate vectors of the basis elements (the identity rows)."""

@@ -8,6 +8,9 @@ Polynomials are zero-free dicts word -> scalar, wrapped in
 :class:`NcPoly` together with their field.  NcPoly and
 ``commgeo.CommPoly`` share one arithmetic, :class:`SparsePoly`; its term
 accumulation ``add_term`` also builds completion's S-polynomials.
+Coefficients are combined with ``+ - *`` and put in canonical form by
+``field.of``, which the constructor applies to every term, so a result
+built from a dict of plain expressions needs no reduction of its own.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ import operator
 import re
 
 from .errors import FieldMismatch
-
-NEG_INF = "-inf"  # degree of the zero polynomial
 
 
 def word_key(word: str):
@@ -29,7 +30,7 @@ def word_key(word: str):
 
 def add_term(terms, m, c, field):
     """Add c to the coefficient of m in a zero-free dict, dropping zeros."""
-    s = field.add(terms.get(m, field.zero), c)
+    s = field.of(terms.get(m, field.zero) + c)
     if s != field.zero:
         terms[m] = s
     else:
@@ -80,15 +81,13 @@ class SparsePoly:
         return self._like(out)
 
     def neg(self):
-        F = self.field
-        return self._like({m: F.neg(c) for m, c in self.terms.items()})
+        return self._like({m: -c for m, c in self.terms.items()})
 
     def sub(self, other):
         return self.add(other.neg())
 
     def scale(self, c):
-        F, c = self.field, self.field.of(c)
-        return self._like({m: F.mul(c, a) for m, a in self.terms.items()})
+        return self._like({m: c * a for m, a in self.terms.items()})
 
     def mul(self, other):
         self._check(other)
@@ -96,7 +95,7 @@ class SparsePoly:
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                add_term(out, mono(m1, m2), F.mul(c1, c2), F)
+                add_term(out, mono(m1, m2), c1 * c2, F)
         return self._like(out)
 
     __add__ = add
@@ -145,7 +144,8 @@ class NcPoly(SparsePoly):
         return cls(field, {w: field.one if coeff is None else coeff})
 
     def degree(self):
-        return max(map(len, self.terms), default=NEG_INF)
+        """Length of the longest word; -1 for the zero polynomial."""
+        return max(map(len, self.terms), default=-1)
 
     def serialize(self) -> str:
         """Canonical text form "c1*w1 + c2*w2 + ..." (words as letters, 1
@@ -172,13 +172,11 @@ def parse_poly(field, text: str) -> NcPoly:
         if not m:
             raise ValueError(f"cannot parse term {chunk!r}")
         coeff_s, word = m.groups()
-        if coeff_s is None:
-            c = F.one
-        elif "/" in coeff_s:
-            num, den = coeff_s.split("/")
-            c = F.div(F.of(int(num)), F.of(int(den)))
-        else:
-            c = F.of(int(coeff_s))
+        num, _, den = (coeff_s or "1").partition("/")
+        try:
+            c = int(num) * F.inv(int(den or 1))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in term {chunk!r}") from None
         w = "" if word == "1" else word
         out = out.add(NcPoly.word(F, w, c))
     return out
@@ -193,12 +191,10 @@ def clifford_relations(field):
     x^3 commutes with y, the mixed degree-4 relation, y^3 commutes with x.
     """
     F = field
-    one = F.one
-    neg = F.neg(one)
     return [
-        NcPoly(F, {"xxxy": one, "yxxx": neg}),
-        NcPoly(F, {"xxyy": one, "xyxy": one, "yxyx": neg, "yyxx": neg}),
-        NcPoly(F, {"xyyy": one, "yyyx": neg}),
+        NcPoly(F, {"xxxy": 1, "yxxx": -1}),
+        NcPoly(F, {"xxyy": 1, "xyxy": 1, "yxyx": -1, "yyxx": -1}),
+        NcPoly(F, {"xyyy": 1, "yyyx": -1}),
     ]
 
 
@@ -206,11 +202,9 @@ def cubic_form_relations(field, a, b, c, d):
     """Generators of the ideal cutting out the Clifford algebra of
     f = a u^3 + 3b u^2 v + 3c u v^2 + d v^3."""
     F = field
-    one = F.one
-    a, b, c, d = map(F.of, (a, b, c, d))
     return [
-        NcPoly(F, {"xxx": one, "": F.neg(a)}),
-        NcPoly(F, {"yyy": one, "": F.neg(d)}),
-        NcPoly(F, {"xxy": one, "xyx": one, "yxx": one, "": F.of(-3 * b)}),
-        NcPoly(F, {"yyx": one, "yxy": one, "xyy": one, "": F.of(-3 * c)}),
+        NcPoly(F, {"xxx": 1, "": -a}),
+        NcPoly(F, {"yyy": 1, "": -d}),
+        NcPoly(F, {"xxy": 1, "xyx": 1, "yxx": 1, "": -3 * b}),
+        NcPoly(F, {"yyx": 1, "yxy": 1, "xyy": 1, "": -3 * c}),
     ]

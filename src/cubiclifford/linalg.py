@@ -7,11 +7,12 @@ library needs row reduction (``rref``, ``rank``, ``kernel``) and
 entry, columns left to right, rows top down), so all outputs are
 reproducible.  The input rows are never modified.
 
-Every row operation (a scaled pivot row, an elimination step) is
-computed with the plain ``+ - *`` operators on the scalars and then
-passed once through ``field.reduce_row``: one field reduction per row,
-not a field-method call per entry.  The code is the same for F_p and Q;
-only ``reduce_row`` and ``inv`` differ between them.
+Every row operation (a scaled pivot row, an elimination step, a kernel
+vector) is computed with the plain ``+ - *`` operators on the scalars and
+then passed once through ``field.reduce_row``: one field reduction per
+row.  The determinant's running product is reduced once per column with
+``field.of``.  The code is the same for F_p and Q; only ``reduce_row``,
+``of`` and ``inv`` differ between them.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ def kernel(field, rows):
         v = [field.zero] * cols
         v[fc] = field.one
         for row, pc in zip(echelon, pivots):
-            v[pc] = field.neg(row[fc])
-        basis.append(v)
+            v[pc] = -row[fc]
+        basis.append(field.reduce_row(v))
     return basis
 
 
@@ -80,12 +81,12 @@ def det(field, rows):
             return F.zero
         if pr != c:
             a[c], a[pr] = a[pr], a[c]
-            d = F.neg(d)
+            d = -d
         prow = a[c]
-        d = F.mul(d, prow[c])
+        d = F.of(d * prow[c])
         inv = F.inv(prow[c])
         for i in range(c + 1, n):
             if a[i][c]:
-                f = F.mul(a[i][c], inv)
+                f = a[i][c] * inv
                 a[i] = red([e - f * pe for e, pe in zip(a[i], prow)])
     return d

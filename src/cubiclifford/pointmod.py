@@ -30,8 +30,7 @@ def proj_point(field, x, y) -> ProjPoint:
     if x == F.zero and y == F.zero:
         raise ZeroPoint("(0,0) does not define a point of P^1")
     if x != F.zero:
-        inv = F.inv(x)
-        return ProjPoint(F.one, F.mul(inv, y))
+        return ProjPoint(F.one, F.of(F.inv(x) * y))
     return ProjPoint(F.zero, F.one)
 
 
@@ -55,17 +54,14 @@ class PointTriple:
 def step_matrix(field, t: PointTriple) -> list:
     """The 3x2 system whose kernel determines the next point (x3, y3), as
     a list of rows."""
-    F = field
     x0, y0 = t.p0.x, t.p0.y
     x1, y1 = t.p1.x, t.p1.y
     x2, y2 = t.p2.x, t.p2.y
-    m = F.mul
-    return [
-        [m(m(x1, x2), y0), F.neg(m(m(x0, x1), x2))],
-        [F.add(m(m(x2, y0), y1), m(m(x1, y0), y2)),
-         F.neg(F.add(m(m(x0, x2), y1), m(m(x1, x0), y2)))],
-        [m(m(y0, y1), y2), F.neg(m(m(x0, y1), y2))],
-    ]
+    return [field.reduce_row(row) for row in (
+        [x1 * x2 * y0, -x0 * x1 * x2],
+        [x2 * y0 * y1 + x1 * y0 * y2, -(x0 * x2 * y1 + x1 * x0 * y2)],
+        [y0 * y1 * y2, -x0 * y1 * y2],
+    )]
 
 
 def solve_next(field, t: PointTriple) -> ProjPoint:

@@ -64,8 +64,6 @@ class RewriteSystem:
     # -- reduction --------------------------------------------------------
 
     def normal_form(self, p: NcPoly) -> NcPoly:
-        if p.is_zero():
-            return p
         deg = p.degree()
         if deg > self.confluent_to:
             raise DegreeOutOfRange(
@@ -90,7 +88,7 @@ class RewriteSystem:
             for w in level:
                 for letter in "yx":
                     nw = w + letter
-                    tailpiece = nw[-maxlead:] if maxlead else nw
+                    tailpiece = nw[-maxlead:]
                     if any(tailpiece.endswith(l) for l in leads if l):
                         continue
                     nxt.append(nw)
@@ -119,7 +117,7 @@ def _reduce_generic(terms, rules, field):
     are smaller than leads and the order is a monomial order), so a popped
     word that no rule matches is final.
     """
-    add, mul, zero = field.add, field.mul, field.zero
+    of, zero = field.of, field.zero
     push, pop = heapq.heappush, heapq.heappop
     work = dict(terms)
     heap = [(-len(w), w) for w in work]
@@ -151,10 +149,10 @@ def _reduce_generic(terms, rules, field):
             nw = prefix + tw + suffix
             old = work.get(nw)
             if old is None:
-                work[nw] = mul(c, tc)
+                work[nw] = of(c * tc)
                 push(heap, (-len(nw), nw))
                 continue
-            s = add(old, mul(c, tc))
+            s = of(old + c * tc)
             if s != zero:
                 work[nw] = s
             else:
@@ -167,7 +165,7 @@ def _orient(system: RewriteSystem, red: dict):
     F = system.field
     lead = min(red, key=word_key)
     inv = F.inv(red[lead])
-    tail = {w: F.neg(F.mul(inv, c)) for w, c in red.items() if w != lead}
+    tail = {w: F.of(-inv * c) for w, c in red.items() if w != lead}
     return lead, tail
 
 
@@ -176,7 +174,7 @@ def _orient(system: RewriteSystem, red: dict):
 RULE_BUDGET = 20000
 
 
-def complete(relations, degree_bound: int = 13, field=None) -> RewriteSystem:
+def complete(relations, degree_bound: int = 13) -> RewriteSystem:
     """Complete a list of NcPoly relations up to ``degree_bound``.
 
     One heap, ordered by (degree, insertion), holds every polynomial still
@@ -191,19 +189,14 @@ def complete(relations, degree_bound: int = 13, field=None) -> RewriteSystem:
     makes the system canonical.  Returns the system with
     ``confluent_to = degree_bound``.  If a nonzero scalar enters the ideal
     the system is flagged ``inconsistent`` (the quotient is the zero ring)
-    and completion stops.
+    and completion stops.  The field is that of the first relation.
     """
-    if field is None:
-        if not relations:
-            raise ValueError("need a field when no relations are given")
-        field = relations[0].field
-    F = field
+    F = relations[0].field
     system = RewriteSystem(F)
-    queue = []  # heap of (degree, tiebreak, term dict)
     tiebreak = itertools.count()
-    for rel in relations:
-        if not rel.is_zero():
-            heapq.heappush(queue, (rel.degree(), next(tiebreak), rel.terms))
+    # heap of (degree, tiebreak, term dict); a zero relation reduces to {}
+    queue = [(rel.degree(), next(tiebreak), rel.terms) for rel in relations]
+    heapq.heapify(queue)
 
     pops = 0
     while queue:
@@ -230,7 +223,7 @@ def complete(relations, degree_bound: int = 13, field=None) -> RewriteSystem:
                 for deg, spoly in _overlaps(*pair, degree_bound, F):
                     heapq.heappush(queue, (deg, next(tiebreak), spoly))
         for l2, t2 in retired:
-            poly = {w: F.neg(c) for w, c in t2.items()}
+            poly = {w: F.of(-c) for w, c in t2.items()}
             poly[l2] = F.one
             heapq.heappush(queue, (len(l2), next(tiebreak), poly))
 
@@ -258,7 +251,7 @@ def _overlaps(l1, t1, l2, t2, degree_bound, F):
         for tw, tc in t1.items():
             add_term(spoly, tw + suffix, tc, F)
         for tw, tc in t2.items():
-            add_term(spoly, prefix + tw, F.neg(tc), F)
+            add_term(spoly, prefix + tw, -tc, F)
         if spoly:
             yield len(l1) + len(suffix), spoly
 

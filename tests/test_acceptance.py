@@ -159,8 +159,8 @@ def test_criterion_08_point_sequences(capsys, f7, f13, f31):
             t = PointTriple(*(rng.choice(pts) for _ in range(3)))
             ok = ok and solve_next(F, t) == t.p0
             inv = gamma_invariants(F, t)
-            ok = ok and F.mul(inv["gamma"], inv["gamma"]) == \
-                F.mul(F.mul(inv["X"], inv["Y"]), inv["Z"])
+            ok = ok and F.of(inv["gamma"] * inv["gamma"]) == \
+                F.of(inv["X"] * inv["Y"] * inv["Z"])
     report(capsys, 8, ok,
            "point sequences are 3-periodic (all 512 F_7 triples, 200 random "
            "each over F_13/F_31) and gamma^2 = XYZ symbolically and "

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 import cubiclifford
-from cubiclifford import cli, disc
+from cubiclifford import cli, disc, pointmod
 from cubiclifford.cli import main
+from cubiclifford.freealg import clifford_relations, parse_poly
+from cubiclifford.rewrite import complete
 
 
 def run(capsys, *argv):
@@ -34,6 +36,26 @@ def test_nf(capsys):
     code, payload = run_json(capsys, "nf", "--poly", "1*xxxy + -1*yxxx")
     assert code == 0
     assert payload["normal_form"] == "0"
+
+
+def test_nf_accepts_any_degree(capsys, f13):
+    # nf completes to the degree of its polynomial, here 14
+    poly = "1*xxxxxxxxxxxxxy + -1*yxxxxxxxxxxxxx"
+    want = complete(clifford_relations(f13), degree_bound=20).normal_form(
+        parse_poly(f13, poly))
+    code, payload = run_json(capsys, "nf", "--poly", poly)
+    assert code == 0
+    assert payload["normal_form"] == want.serialize()
+
+
+@pytest.mark.parametrize("poly", ["1/13*x", "1/0*x"])
+def test_zero_denominator_is_usage_error(capsys, poly):
+    # 13 is zero in F_13, the default field
+    code = main(["nf", "--poly", poly])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert poly in captured.err
 
 
 def test_center_check(capsys):
@@ -235,6 +257,16 @@ def test_error_exit_code_one(capsys):
     assert payload["error"] == "CharTwoOrThree"
 
 
+def test_typed_error_in_a_command_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(pointmod, "step_matrix",
+                        lambda field, t: [[0, 0], [0, 0], [0, 0]])
+    code, out = run(capsys, "point-module", "--triple", "1:0,1:1,1:2")
+    assert code == 1
+    assert out == ('{"error":"KernelDimensionUnexpected","message":"step '
+                   'system has kernel dimension 2, expected 1","ok":false,'
+                   '"schema":1}')
+
+
 def test_usage_error_exit_code_two(capsys):
     code = main(["singular-check", "--point", "1,2,3"])
     captured = capsys.readouterr()
@@ -245,9 +277,13 @@ def test_usage_error_exit_code_two(capsys):
 @pytest.mark.parametrize("argv", [
     ["quotient", "--point", "1,0,0,1,4,0", "--seed", "1"],
     ["verify-all", "--degree-bound", "20"],
-], ids=["quotient-seed", "verify-all-degree-bound"])
+    ["nf", "--poly", "x", "--degree-bound", "20"],
+    ["irreps", "--point", "1,1,1,1", "--seed", "1"],
+], ids=["quotient-seed", "verify-all-degree-bound", "nf-degree-bound",
+        "irreps-seed"])
 def test_flag_of_another_subcommand_is_usage_error(capsys, argv):
-    # --seed and --degree-bound belong only to the subcommands that read them
+    # --seed belongs only to the subcommands that read it, and no
+    # subcommand takes a completion bound
     with pytest.raises(SystemExit) as exc:
         main(argv)
     captured = capsys.readouterr()

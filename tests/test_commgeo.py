@@ -34,18 +34,18 @@ def transcribed_partials(F):
     """The four partials of delta written out from their closed forms."""
     z = [CommPoly.var(F, 4, i) for i in range(4)]
     half = F.inv(F.of(2))
-    th = F.mul(F.of(3), half)  # 3/2
+    th = F.of(3 * half)  # 3/2
     three = F.of(3)
-    p0 = (z[1].mul(z[2]).mul(z[3]).scale(F.neg(th))
+    p0 = (z[1].mul(z[2]).mul(z[3]).scale(-th)
           .add(z[0].mul(z[3]).mul(z[3]).scale(half))
           .add(z[2].pow(3)))
-    p1 = (z[0].mul(z[2]).mul(z[3]).scale(F.neg(th))
-          .add(z[1].mul(z[2]).mul(z[2]).scale(F.neg(th)))
+    p1 = (z[0].mul(z[2]).mul(z[3]).scale(-th)
+          .add(z[1].mul(z[2]).mul(z[2]).scale(-th))
           .add(z[1].mul(z[1]).mul(z[3]).scale(three)))
-    p2 = (z[0].mul(z[1]).mul(z[3]).scale(F.neg(th))
-          .add(z[1].mul(z[1]).mul(z[2]).scale(F.neg(th)))
+    p2 = (z[0].mul(z[1]).mul(z[3]).scale(-th)
+          .add(z[1].mul(z[1]).mul(z[2]).scale(-th))
           .add(z[0].mul(z[2]).mul(z[2]).scale(three)))
-    p3 = (z[0].mul(z[1]).mul(z[2]).scale(F.neg(th))
+    p3 = (z[0].mul(z[1]).mul(z[2]).scale(-th)
           .add(z[0].mul(z[0]).mul(z[3]).scale(half))
           .add(z[1].pow(3)))
     return [p0, p1, p2, p3]

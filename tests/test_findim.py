@@ -4,9 +4,10 @@ from operator import add, mul
 
 import pytest
 
+from cubiclifford import findim
 from cubiclifford.center import central_elements
 from cubiclifford.commgeo import central_point, enumerate_center_fiber
-from cubiclifford.errors import ZeroAlgebra
+from cubiclifford.errors import NotFiniteDimensional, ZeroAlgebra
 from cubiclifford.findim import (FinDimAlgebra, build_quotient,
                                  check_unit_and_associativity,
                                  quotient_relations, reduce_center_images)
@@ -186,6 +187,14 @@ def test_zero_algebra_off_fiber(f13):
     bad = central_point(f13, 1, 0, 0, 1, 5, 0, check=False)
     with pytest.raises(ZeroAlgebra):
         build_quotient(f13, bad)
+
+
+def test_words_past_the_bound_are_not_finite_dimensional(f13, smooth_point,
+                                                         monkeypatch):
+    # the smooth quotient has normal words up to degree 4
+    monkeypatch.setattr(findim, "DEGREE_BOUND", 3)
+    with pytest.raises(NotFiniteDimensional):
+        build_quotient(f13, smooth_point)
 
 
 def test_structure_table_consistent_with_normal_form(f13, smooth_alg):

@@ -61,7 +61,7 @@ def test_relation_collapses_under_substitution(f13):
     F = f13
     for w, c in r.terms.items():
         ww = w.replace("y", "x")
-        collapsed[ww] = F.add(collapsed.get(ww, F.zero), c)
+        collapsed[ww] = F.of(collapsed.get(ww, F.zero) + c)
     assert all(v == F.zero for v in collapsed.values())
 
 

@@ -2,13 +2,17 @@
 name the library defines (a function, class or module-level constant) is
 used somewhere in the repository; a method only counts as used where its
 module is, or is imported, or where the base-class method it overrides is
-used.  A re-export, by an import or in ``__all__``, is not a use."""
+used.  A re-export, by an import or in ``__all__``, is not a use.  No
+code asks a field object for scalar arithmetic: scalars meet with
+``+ - *``."""
 
 import ast
 import re
 from pathlib import Path
 
 import pytest
+
+from cubiclifford.fields import PrimeField, RationalField
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cubiclifford"
@@ -189,3 +193,45 @@ def test_scanner_flags_unreferenced_definitions():
     assert unreferenced_definitions({"lib": lib, "sub": sub}, sources) == [
         ("lib", "A.dead"), ("lib", "A.stale"), ("lib", "Gone"),
         ("lib", "SPARE"), ("lib", "orphan"), ("sub", "Sub.spare")]
+
+
+#: Arithmetic a field does not supply: scalars are combined with + - *
+SCALAR_METHODS = {"add", "sub", "neg", "mul", "div"}
+#: The names that hold a field object in the library and the tests
+FIELD_NAMES = {"F", "field", "f7", "f11", "f13", "f31", "Q", "rationals",
+               "fp", "fq"}
+
+
+def field_method_calls(source):
+    """(line, "name.method") of each call of a scalar-arithmetic method on
+    a name that holds a field."""
+    return sorted(
+        (node.lineno, f"{node.func.value.id}.{node.func.attr}")
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in SCALAR_METHODS
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in FIELD_NAMES)
+
+
+def test_fields_supply_no_scalar_arithmetic():
+    for cls in (PrimeField, RationalField):
+        assert [m for m in sorted(SCALAR_METHODS) if hasattr(cls, m)] == []
+
+
+def test_scalars_are_combined_with_operators():
+    found = {}
+    for folder in ("src", "tests"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            calls = field_method_calls(path.read_text())
+            if calls:
+                found[path.relative_to(ROOT).as_posix()] = calls
+    assert found == {}
+
+
+def test_scanner_flags_field_method_calls():
+    # polynomial methods (p.mul, z.z4.sub) and field.of are not flagged
+    source = ("F.mul(a, b)\nfield.neg(c)\np.mul(q)\nF.of(a * b)\n"
+              "z.z4.sub(w)\nf13.add(1, 2)\n")
+    assert field_method_calls(source) == [(1, "F.mul"), (2, "field.neg"),
+                                          (6, "f13.add")]

@@ -4,8 +4,9 @@ from operator import mul
 
 import pytest
 
+from cubiclifford import pointmod
 from cubiclifford.commgeo import singular_locus_membership
-from cubiclifford.errors import ZeroPoint
+from cubiclifford.errors import KernelDimensionUnexpected, ZeroPoint
 from cubiclifford.linalg import det
 from cubiclifford.pointmod import (PointTriple, abc_system_admits_solution,
                                    all_proj_points, central_character_diagonal,
@@ -49,6 +50,18 @@ def test_solve_next_random_f13_f31(f13, f31):
             assert solve_next(F, t) == t.p0
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([[0, 0], [0, 0], [0, 0]], "kernel dimension 2"),
+    ([[1, 0], [1, 0], [1, 0]], "differs from p0"),
+], ids=["dimension-2", "not-p0"])
+def test_solve_next_rejects_an_unexpected_kernel(f13, monkeypatch, rows,
+                                                 message):
+    monkeypatch.setattr(pointmod, "step_matrix", lambda field, t: rows)
+    p = proj_point(f13, 1, 0)
+    with pytest.raises(KernelDimensionUnexpected, match=message):
+        solve_next(f13, PointTriple(p, p, p))
+
+
 def test_validate_point_sequence(f13):
     rng = random.Random(9)
     t = random_triple(f13, rng)
@@ -68,8 +81,8 @@ def test_gamma_squared_numeric(f13, f31):
     for F in (f13, f31):
         for _ in range(50):
             inv = gamma_invariants(F, random_triple(F, rng))
-            lhs = F.mul(inv["gamma"], inv["gamma"])
-            rhs = F.mul(F.mul(inv["X"], inv["Y"]), inv["Z"])
+            lhs = F.of(inv["gamma"] * inv["gamma"])
+            rhs = F.of(inv["X"] * inv["Y"] * inv["Z"])
             assert lhs == rhs
 
 

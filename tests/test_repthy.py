@@ -8,7 +8,8 @@ from cubiclifford import repthy
 from cubiclifford.cli import main as cli_main
 from cubiclifford.commgeo import (central_point, enumerate_center_fiber,
                                   twisted_cubic_point)
-from cubiclifford.errors import CharacteristicTooSmall, FieldTooLarge, NotScalar
+from cubiclifford.errors import (CharacteristicTooSmall, FieldTooLarge,
+                                 NotScalar, SplitFailure)
 from cubiclifford.disc import sample_points
 from cubiclifford.findim import (FinDimAlgebra, build_quotient,
                                 check_unit_and_associativity)
@@ -82,7 +83,7 @@ def _brute_center_basis(alg):
     F = alg.field
     es = alg.basis_vectors()
     # column i of the map is the image of e_i: all commutators, stacked
-    cols = [[F.sub(a, b) for e in es
+    cols = [[F.of(a - b) for e in es
              for a, b in zip(alg.mul_vec(ei, e), alg.mul_vec(e, ei))]
             for ei in es]
     return kernel(F, list(zip(*cols)))
@@ -154,6 +155,13 @@ def test_origin_blocks_single_line(origin_alg):
 def test_blocks_deterministic(smooth_alg):
     assert wedderburn_blocks(smooth_alg, seed=0).blocks == \
         wedderburn_blocks(smooth_alg, seed=1).blocks
+
+
+def test_split_failure_when_no_draw_is_allowed(singular_alg, monkeypatch):
+    # A/rad at (1,1,1,1,0,0) is three copies of F_13: the unit must split
+    monkeypatch.setattr(repthy, "SPLIT_ATTEMPTS", 0)
+    with pytest.raises(SplitFailure):
+        wedderburn_blocks(singular_alg)
 
 
 def test_smooth_blocks_over_f31(f31):

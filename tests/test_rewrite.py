@@ -60,7 +60,7 @@ def test_commutative_toy_system(f13):
 
 
 def test_empty_system(f13):
-    system = complete([], degree_bound=5, field=f13)
+    system = complete([NcPoly.zero(f13)], degree_bound=5)
     assert system.rules == []
     for n in range(6):
         assert system.graded_dimension(n) == 2 ** n
@@ -254,7 +254,7 @@ def reference_reduce_terms(terms, rules, field, recreated=None):
             nw = prefix + tw + suffix
             if nw in cancelled and nw not in work and recreated is not None:
                 recreated.append(nw)
-            s = F.add(work.get(nw, F.zero), F.mul(c, tc))
+            s = F.of(work.get(nw, F.zero) + c * tc)
             if s != F.zero:
                 work[nw] = s
             elif nw in work:
