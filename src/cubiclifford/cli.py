@@ -17,8 +17,7 @@ import sys
 
 from .center import center_relation_residue, centrality_report
 from .commgeo import (CentralPoint, central_point, delta_partials,
-                      discriminant_value, enumerate_center_fiber,
-                      on_twisted_cubic, point_on_fiber,
+                      discriminant_value, on_twisted_cubic, point_on_fiber,
                       singular_locus_membership, twisted_cubic_point)
 from .disc import locus_profile, sample_locus, trichotomy_holds
 from .errors import CubicliffordError
@@ -55,6 +54,19 @@ def _emit(args, field, payload, ok=True):
     return 0 if ok else 1
 
 
+def _at_least(low):
+    """argparse type: an integer no smaller than ``low``."""
+    def integer(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"{text} is less than {low}")
+        return int(text)
+    return integer
+
+
+def _ells(text):
+    return [_at_least(1)(v) for v in text.split(",")]
+
+
 def _parse_point(field, text) -> CentralPoint:
     parts = [int(v) for v in text.split(",")]
     if len(parts) == 4:
@@ -84,14 +96,12 @@ def _graded_system(field, bound):
 def cmd_hilbert(args, field):
     system = _graded_system(field, args.max_degree)
     table = []
-    ok = True
     for n in range(args.max_degree + 1):
-        got = system.graded_dimension(n)
-        want = hilbert_oracle(n)
+        got, want = system.graded_dimension(n), hilbert_oracle(n)
         table.append({"degree": n, "engine": got, "oracle": want,
                       "match": got == want})
-        ok = ok and got == want
-    return _emit(args, field, {"table": table}, ok)
+    return _emit(args, field, {"table": table},
+                 all(row["match"] for row in table))
 
 
 def cmd_nf(args, field):
@@ -213,8 +223,7 @@ def cmd_point_module(args, field):
 
 
 def cmd_disc_locus(args, field):
-    ells = [int(v) for v in args.ell.split(",")]
-    report = sample_locus(field, ells, n_per_stratum=args.samples,
+    report = sample_locus(field, args.ell, n_per_stratum=args.samples,
                           seed=args.seed)
     payload = {"seed": args.seed, "samples_per_stratum": args.samples,
                "report": {str(k): v for k, v in report.items()}}
@@ -244,8 +253,9 @@ def cmd_verify_all(args, field):
 
     results["no_dim2_irreps"] = dim2_certificate(field)
 
-    fiber = enumerate_center_fiber(field, 1, 0, 0, 1)
-    prof = locus_profile(field, fiber[0], seed=args.seed)
+    # D(1, 0, 0, 1) = 1/4, so e^2 = f^3 - 27 D at (e, f) = (9/2, 3)
+    pt = central_point(field, 1, 0, 0, 1, 9 * field.inv(2), 3)
+    prof = locus_profile(field, pt, seed=args.seed)
     results["azumaya_dim9"] = prof.algebra.dim == 9
     results["azumaya_block"] = list(prof.irrep_dims) == [3]
     results["azumaya_gram_rank9"] = prof.gram_rank == 9
@@ -253,10 +263,10 @@ def cmd_verify_all(args, field):
     ptc = central_point(field, 1, 1, 1, 1, 0, 0)
     profc = locus_profile(field, ptc, seed=args.seed)
     # three 1-dim irreducibles over the closure, from the blocks; they
-    # are the (a, b) = (w, w) with w^3 = 1, so gcd(3, p - 1) are rational
+    # are the (a, b) = (w, w) with w^3 = 1: gcd(3, p - 1) (1, 1) blocks
     results["singular_three_dim1"] = (
         profc.irrep_dims == (1, 1, 1)
-        and len(search_irreps_dim1(field, ptc)) == math.gcd(3, field.p - 1))
+        and profc.blocks.blocks.count((1, 1)) == math.gcd(3, field.p - 1))
 
     triple_ok = True
     # five distinct points of P^1, since p >= 5
@@ -288,7 +298,7 @@ def build_parser():
     seed = ("--seed", {"type": int, "default": 0})
     specs = [
         ("hilbert", cmd_hilbert,
-         [("--max-degree", {"type": int, "default": 13})]),
+         [("--max-degree", {"type": _at_least(0), "default": 13})]),
         ("nf", cmd_nf, [("--poly", {"required": True})]),
         ("center-check", cmd_center_check, []),
         ("relation-check", cmd_relation_check, []),
@@ -300,8 +310,8 @@ def build_parser():
         ("search-dim2", cmd_search_dim2, []),
         ("point-module", cmd_point_module, [("--triple", {"required": True})]),
         ("disc-locus", cmd_disc_locus,
-         [seed, ("--ell", {"default": "3,5,12"}),
-          ("--samples", {"type": int, "default": 5})]),
+         [seed, ("--ell", {"type": _ells, "default": "3,5,12"}),
+          ("--samples", {"type": _at_least(1), "default": 5})]),
         ("verify-all", cmd_verify_all, [seed]),
     ]
     for name, fn, extra in specs:

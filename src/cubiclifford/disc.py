@@ -32,11 +32,7 @@ from .repthy import (BlockStructure, full_gram, trace_vector,
 
 @dataclass
 class LocusVerdict:
-    point: CentralPoint
-    ell: int
     member: bool
-    gram_rank: int
-    irrep_dims: tuple
 
 
 @dataclass
@@ -71,9 +67,7 @@ def v_ell_membership(field, point: CentralPoint, ell: int,
         raise CriterionMismatch(
             f"irrep-sum criterion ({by_dims}) disagrees with Gram-rank "
             f"criterion ({by_rank}) at {point} for ell={ell}")
-    return LocusVerdict(point=point, ell=ell, member=by_dims,
-                        gram_rank=profile.gram_rank,
-                        irrep_dims=profile.irrep_dims)
+    return LocusVerdict(by_dims)
 
 
 def modified_gram_check(alg: FinDimAlgebra, ell: int, seed: int = 0) -> bool:

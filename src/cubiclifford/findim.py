@@ -1,10 +1,9 @@
 """Finite-dimensional central quotients C/mC as explicit algebras.
 
-A quotient is presented by the four cubic-form relations together with
-z4 - e and z5 - f, completed with the same (now inhomogeneous) rewriting
-engine.  The basis is the set of normal words; multiplication is normal-
-form reduction of concatenated basis words, materialized as a structure-
-constant table.
+The quotient at a central point (c0, ..., c5) is presented by the six
+z_i - c_i, completed with the same (now inhomogeneous) rewriting engine.
+The basis is the set of normal words; multiplication is normal-form
+reduction of concatenated basis words, materialized as a table.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 from .center import central_elements
 from .commgeo import CentralPoint
 from .errors import NotFiniteDimensional, NotScalar, ZeroAlgebra
-from .freealg import NcPoly, cubic_form_relations
+from .freealg import NcPoly
 from .rewrite import complete
 
 
@@ -85,13 +84,10 @@ class FinDimAlgebra:
 
 
 def quotient_relations(field, point: CentralPoint):
-    """Cubic-form ideal generators plus z4 - e and z5 - f."""
-    rels = cubic_form_relations(field, point.a, point.b, point.c, point.d)
-    z = central_elements(field)
+    """z0 - a, ..., z5 - f: each central element minus its coordinate."""
     one = NcPoly.one(field)
-    rels.append(z.z4.sub(one.scale(point.e)))
-    rels.append(z.z5.sub(one.scale(point.f)))
-    return rels
+    return [z.sub(one.scale(c)) for z, c in
+            zip(central_elements(field).as_list(), point.coords())]
 
 
 #: Completion bound for the quotient presentations.

@@ -196,15 +196,3 @@ def clifford_relations(field):
         NcPoly(F, {"xxyy": 1, "xyxy": 1, "yxyx": -1, "yyxx": -1}),
         NcPoly(F, {"xyyy": 1, "yyyx": -1}),
     ]
-
-
-def cubic_form_relations(field, a, b, c, d):
-    """Generators of the ideal cutting out the Clifford algebra of
-    f = a u^3 + 3b u^2 v + 3c u v^2 + d v^3."""
-    F = field
-    return [
-        NcPoly(F, {"xxx": 1, "": -a}),
-        NcPoly(F, {"yyy": 1, "": -d}),
-        NcPoly(F, {"xxy": 1, "xyx": 1, "yxx": 1, "": -3 * b}),
-        NcPoly(F, {"yyx": 1, "yxy": 1, "xyy": 1, "": -3 * c}),
-    ]

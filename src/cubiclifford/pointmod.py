@@ -2,9 +2,9 @@
 characters of diagonal point modules, and predicted simple-quotient
 dimensions for a triple of P^1 points.
 
-X, Y, Z, the rows of the a = b = c system and gamma are written once, with
-``+ - *``; `gamma_invariants` and `gamma_squared_identity_symbolic` run the
-same code on field elements and on commutative polynomials.
+The step rows, read off `freealg.clifford_relations`, X, Y, Z, the rows
+of the a = b = c system and gamma are written once, with ``+ - *``, and
+run on field elements and on commutative polynomials alike.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .commgeo import CentralPoint, CommPoly, central_point, cube_map
 from .errors import KernelDimensionUnexpected, ZeroPoint
 from .fields import RationalField
+from .freealg import clifford_relations
 from .linalg import kernel
 
 
@@ -51,17 +52,25 @@ class PointTriple:
         return self.p0 == self.p1 == self.p2
 
 
+def _step_rows(relations, t: PointTriple):
+    """Row (x3, y3 coefficients) of each degree-4 relation, over any ring:
+    a1a2a3a4 sends m0 to p0(a4) p1(a3) p2(a2) p3(a1) m4, and a point's
+    coordinate attributes are named by the letters."""
+    rows = []
+    for rel in relations:
+        row = {}
+        for (a1, a2, a3, a4), c in rel.terms.items():
+            v = c * getattr(t.p0, a4) * getattr(t.p1, a3) * getattr(t.p2, a2)
+            row[a1] = row[a1] + v if a1 in row else v
+        rows.append([row["x"], row["y"]])
+    return rows
+
+
 def step_matrix(field, t: PointTriple) -> list:
     """The 3x2 system whose kernel determines the next point (x3, y3), as
-    a list of rows."""
-    x0, y0 = t.p0.x, t.p0.y
-    x1, y1 = t.p1.x, t.p1.y
-    x2, y2 = t.p2.x, t.p2.y
-    return [field.reduce_row(row) for row in (
-        [x1 * x2 * y0, -x0 * x1 * x2],
-        [x2 * y0 * y1 + x1 * y0 * y2, -(x0 * x2 * y1 + x1 * x0 * y2)],
-        [y0 * y1 * y2, -x0 * y1 * y2],
-    )]
+    a list of rows, one per defining relation."""
+    return [field.reduce_row(row)
+            for row in _step_rows(clifford_relations(field), t)]
 
 
 def solve_next(field, t: PointTriple) -> ProjPoint:

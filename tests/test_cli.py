@@ -292,6 +292,23 @@ def test_flag_of_another_subcommand_is_usage_error(capsys, argv):
     assert argv[-2] in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "--max-degree", "-1"],
+    ["disc-locus", "--samples", "0", "--ell", "0,-3"],
+    ["disc-locus", "--samples", "-1"],
+    ["disc-locus", "--ell", "3,0"],
+], ids=["negative-degree", "no-samples", "negative-samples", "zero-ell"])
+def test_out_of_range_count_is_usage_error(capsys, argv):
+    # rejected while parsing: an empty table or stratum would pass
+    # vacuously, and a negative sample count never stops drawing
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert argv[-2] in captured.err
+
+
 def test_unwritable_dump_is_usage_error(capsys, tmp_path):
     dump = str(tmp_path / "missing" / "alg.json")
     code = main(["quotient", "--point", "1,0,0,1,4,0", "--dump", dump])

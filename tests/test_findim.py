@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from operator import add, mul
@@ -41,6 +42,29 @@ def origin_alg(f13):
 def test_quotient_relations_count(f13, smooth_point):
     rels = quotient_relations(f13, smooth_point)
     assert len(rels) == 6
+
+
+def test_quotient_relations_are_central_elements_minus_coordinates(
+        f13, smooth_point):
+    one = NcPoly.one(f13)
+    rels = quotient_relations(f13, smooth_point)
+    for rel, z, c in zip(rels, central_elements(f13).as_list(),
+                         smooth_point.coords()):
+        assert rel.add(one.scale(c)) == z
+
+
+def test_a_wrong_central_element_reaches_the_quotient(f13, monkeypatch):
+    # z1 with the weight of yxx doubled: the fiber over (1, 2, 3, 4)
+    # collapses, so the quotient presentation reads z1 from the center
+    def mutant(field):
+        third = field.inv(3)
+        z1 = NcPoly(field, {"xxy": third, "xyx": third, "yxx": 2 * third})
+        return dataclasses.replace(central_elements(field), z1=z1)
+
+    pt = enumerate_center_fiber(f13, 1, 2, 3, 4)[0]
+    monkeypatch.setattr(findim, "central_elements", mutant)
+    with pytest.raises(ZeroAlgebra):
+        build_quotient(f13, pt)
 
 
 def test_smooth_quotient_dimension(smooth_alg):

@@ -5,8 +5,10 @@ import pytest
 
 from cubiclifford.errors import FieldMismatch
 from cubiclifford.fields import make_field
+from cubiclifford.commgeo import central_point
+from cubiclifford.findim import quotient_relations
 from cubiclifford.freealg import (NcPoly, clifford_relations, commutator,
-                                  cubic_form_relations, parse_poly)
+                                  parse_poly)
 
 
 def x(F):
@@ -66,15 +68,16 @@ def test_relation_collapses_under_substitution(f13):
 
 
 def test_cubic_form_relations_at_unit_form(f13):
-    rels = cubic_form_relations(f13, 1, 0, 0, 1)
+    rels = quotient_relations(f13, central_point(f13, 1, 0, 0, 1, 0, 0,
+                                                 check=False))
     assert rels[0].terms == {"xxx": 1, "": 12}
-    assert rels[1].terms == {"yyy": 1, "": 12}
-    assert set(rels[2].terms) == {"xxy", "xyx", "yxx"}
-    assert set(rels[3].terms) == {"yyx", "yxy", "xyy"}
+    assert rels[3].terms == {"yyy": 1, "": 12}
+    assert set(rels[1].terms) == {"xxy", "xyx", "yxx"}
+    assert set(rels[2].terms) == {"yyx", "yxy", "xyy"}
 
 
 def test_zero_form_relations(f13):
-    rels = cubic_form_relations(f13, 0, 0, 0, 0)
+    rels = quotient_relations(f13, central_point(f13, 0, 0, 0, 0, 0, 0))
     assert all("" not in r.terms for r in rels)
 
 

@@ -5,10 +5,12 @@ from operator import mul
 import pytest
 
 from cubiclifford import pointmod
-from cubiclifford.commgeo import singular_locus_membership
+from cubiclifford.commgeo import CommPoly, singular_locus_membership
 from cubiclifford.errors import KernelDimensionUnexpected, ZeroPoint
+from cubiclifford.freealg import NcPoly, clifford_relations
 from cubiclifford.linalg import det
-from cubiclifford.pointmod import (PointTriple, abc_system_admits_solution,
+from cubiclifford.pointmod import (PointTriple, ProjPoint,
+                                   abc_system_admits_solution,
                                    all_proj_points, central_character_diagonal,
                                    gamma_invariants,
                                    gamma_squared_identity_symbolic,
@@ -48,6 +50,54 @@ def test_solve_next_random_f13_f31(f13, f31):
         for _ in range(100):
             t = random_triple(F, rng)
             assert solve_next(F, t) == t.p0
+
+
+def _hand_rows(t):
+    """The step rows written out by hand from the three relations: the
+    oracle for the rows `step_matrix` derives."""
+    x0, y0, x1, y1, x2, y2 = t.p0.x, t.p0.y, t.p1.x, t.p1.y, t.p2.x, t.p2.y
+    return [[x1 * x2 * y0, -x0 * x1 * x2],
+            [x2 * y0 * y1 + x1 * y0 * y2, -(x0 * x2 * y1 + x0 * x1 * y2)],
+            [y0 * y1 * y2, -x0 * y1 * y2]]
+
+
+def test_step_matrix_equals_the_hand_rows(f7, f13):
+    # entry for entry, not only in row space, at every triple
+    for F in (f7, f13):
+        for t in itertools.product(all_proj_points(F), repeat=3):
+            t = PointTriple(*t)
+            assert pointmod.step_matrix(F, t) == [
+                F.reduce_row(r) for r in _hand_rows(t)], t
+
+
+def test_generic_step_rows_annihilate_p0(rationals):
+    # over Q[x0, y0, x1, y1, x2, y2], every row times (x0, y0) is zero
+    v = [CommPoly.var(rationals, 6, i) for i in range(6)]
+    t = PointTriple(*(ProjPoint(v[i], v[i + 1]) for i in (0, 2, 4)))
+    rows = pointmod._step_rows(clifford_relations(rationals), t)
+    assert len(rows) == 3
+    for row in rows:
+        assert not row[0].is_zero()
+        assert (row[0] * v[0] + row[1] * v[1]).is_zero()
+
+
+def test_a_wrong_relation_reaches_the_step_system(f7, monkeypatch):
+    # the mixed relation with the sign of yyxx flipped breaks the step
+    # system at 294 of the 512 triples, so the rows come from the relations
+    def mutant(field):
+        rels = clifford_relations(field)
+        rels[1] = NcPoly(field, {"xxyy": 1, "xyxy": 1, "yxyx": -1,
+                                 "yyxx": 1})
+        return rels
+
+    monkeypatch.setattr(pointmod, "clifford_relations", mutant)
+    failures = 0
+    for t in itertools.product(all_proj_points(f7), repeat=3):
+        try:
+            solve_next(f7, PointTriple(*t))
+        except KernelDimensionUnexpected:
+            failures += 1
+    assert failures == 294
 
 
 @pytest.mark.parametrize("rows, message", [

@@ -191,22 +191,31 @@ def test_noncube_cone_point_over_large_prime():
     assert wedderburn_blocks(alg).blocks == [(1, 3)]
 
 
-def test_cone_points_f7_blocks_match_dim1_search(f7):
+def _check_cone_blocks_match_dim1_search(F):
     # every point lambda * (x0^3, x0^2 x1, x0 x1^2, x1^3) of the cone over
     # the twisted cubic: three characters over the closure, all rational
     # (three (1, 1) blocks) or all conjugate (one (1, 3) block)
-    lines = [(1, t) for t in range(7)] + [(0, 1)]
+    lines = [(1, t) for t in range(F.p)] + [(0, 1)]
     seen = set()
-    for lam in range(1, 7):
+    for lam in range(1, F.p):
         for x0, x1 in lines:
-            coords = [lam * c for c in twisted_cubic_point(f7, x0, x1)]
-            pt = central_point(f7, *coords, 0, 0)
-            blocks = wedderburn_blocks(build_quotient(f7, pt)).blocks
-            rational = len(search_irreps_dim1(f7, pt))
+            coords = [lam * c for c in twisted_cubic_point(F, x0, x1)]
+            pt = central_point(F, *coords, 0, 0)
+            blocks = wedderburn_blocks(build_quotient(F, pt)).blocks
+            rational = len(search_irreps_dim1(F, pt))
             assert blocks.count((1, 1)) == rational in (0, 3), pt
             assert sum(k for _, k in blocks) == 3, pt
             seen.add(tuple(blocks))
     assert seen == {((1, 1),) * 3, ((1, 3),)}
+
+
+def test_cone_points_f7_blocks_match_dim1_search(f7):
+    _check_cone_blocks_match_dim1_search(f7)
+
+
+def test_cone_points_f13_blocks_match_dim1_search(f13):
+    # verify-all counts the (1, 1) blocks in place of the search
+    _check_cone_blocks_match_dim1_search(f13)
 
 
 # -- factorization over F_p, read from the Wedderburn split of F_p[t]/(f)
