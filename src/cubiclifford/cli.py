@@ -64,7 +64,12 @@ def _at_least(low):
 
 
 def _ells(text):
-    return [_at_least(1)(v) for v in text.split(",")]
+    try:
+        return [_at_least(1)(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"--ell takes comma-separated positive integers, not {text!r}"
+        ) from None
 
 
 def _parse_point(field, text) -> CentralPoint:

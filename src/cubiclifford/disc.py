@@ -102,6 +102,9 @@ def sample_points(field, n_per_stratum: int = 20, seed: int = 0):
     off the cubic with (e,f)=(0,0).  The last are the forms l^2 m, for
     independent linear forms l and m drawn at random: a double root and
     no triple root, at every p."""
+    if n_per_stratum < 1:
+        raise ValueError(f"n_per_stratum must be at least 1, not "
+                         f"{n_per_stratum}")
     F = field
     rng = random.Random(seed)
     cubic = []

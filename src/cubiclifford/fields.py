@@ -14,8 +14,12 @@ expression: a divisor is inverted with ``inv`` first.  So a field
 supplies only canonical form and inversion, and the code that uses it is
 the same for F_p and Q.
 
-``of`` runs once per term in the reducer's inner loop, so it tests the
-exact type, ``type(n) is Fraction``: ``isinstance`` goes through the
+The reducer applies the rule per word, not per term: it sums with
+``+ *``, puts a coefficient in canonical form when its word is popped
+(``of`` over F_p; over Q integral scalars stay ``int`` meanwhile), and
+applies ``of`` to each term of its result.  ``of`` still runs for every
+term of every polynomial built, so it tests the exact type,
+``type(n) is Fraction``: ``isinstance`` goes through the
 ``__instancecheck__`` of ``Fraction``'s ABC metaclass and costs several
 times more on an ``int``.
 """

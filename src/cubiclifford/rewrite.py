@@ -10,15 +10,20 @@ Nothing is ever claimed beyond the bound.
 
 Words stay x/y strings throughout.  As characters, 'x' < 'y': within
 one length the order is plain string order reversed, so the key
-``freealg.word_key(w) = (-len(w), w)`` lists words from the largest down:
-the reducer's min-heap pops the largest pending word first with no custom
-comparator and no translation.
+``freealg.word_key(w) = (-len(w), w)`` lists words from the largest down,
+and the reducer's min-heaps of plain strings, one per length, pop the
+largest pending word of a length first with no custom comparator and no
+translation.  Each rule set keeps a reducer form, built once by
+``_rebuild``: one compiled pattern of the leads, so a word costs one
+``search``, and the tails indexed by match group (see
+``_reduce_generic``).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import re
 
 from .errors import BudgetExceeded, DegreeOutOfRange
 from .freealg import NcPoly, add_term, word_key
@@ -41,15 +46,22 @@ class RewriteSystem:
         self.confluent_to = 0
         self.inconsistent = False  # a nonzero scalar entered the ideal
         self._rules = []  # list of (lead, tail dict word -> scalar)
-        self._reducer_rules = ()  # reducer form, rebuilt on change
+        self._rebuild()
 
     # -- rule bookkeeping -------------------------------------------------
 
     def _rebuild(self):
         # smallest lead first: shorter, then larger string
         self._rules.sort(key=lambda r: word_key(r[0]), reverse=True)
-        self._reducer_rules = tuple(
-            (lead, tuple(tail.items())) for lead, tail in self._rules)
+        # reducer form: group k of the pattern is rule k ((?!) never
+        # matches), integral rationals become ints
+        pattern = "|".join(f"({lead})" for lead, _ in self._rules)
+        tails = (None,) + tuple(
+            tuple((w, _integral(c)) for w, c in tail.items())
+            for _, tail in self._rules)
+        canon = self.field.of if self.field.kind == "prime" else _integral
+        self._reducer_rules = (re.compile(pattern or "(?!)").search, tails,
+                               canon)
 
     @property
     def rules(self):
@@ -78,85 +90,80 @@ class RewriteSystem:
         if n > self.confluent_to:
             raise DegreeOutOfRange(
                 f"degree {n} exceeds certified bound {self.confluent_to}")
-        leads = [lead for lead, _ in self._rules]
-        maxlead = max((len(l) for l in leads), default=0)
         if n == 0:
             return [] if self.inconsistent else [""]
+        leads = tuple(lead for lead, _ in self._rules)
         level = [""]
         for _ in range(n):
-            nxt = []
-            for w in level:
-                for letter in "yx":
-                    nw = w + letter
-                    tailpiece = nw[-maxlead:]
-                    if any(tailpiece.endswith(l) for l in leads if l):
-                        continue
-                    nxt.append(nw)
-            level = nxt
+            level = [nw for w in level for nw in (w + "y", w + "x")
+                     if not nw.endswith(leads)]
         return level
 
     def graded_dimension(self, n: int) -> int:
         return len(self.basis_words(n))
 
 
+def _integral(c):
+    """c, or c as an ``int`` when it is an integral ``Fraction``."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def _reduce_generic(terms, rules, field):
     """Reduce a term dict {word: coeff} modulo the rules.
 
-    Coefficients are nonzero elements of ``field``, as in ``NcPoly.terms``.
-    Rules are ``(lead, ((word, coeff), ...))`` with every tail word
-    strictly smaller than the lead, which guarantees termination.
-    Deterministic: always rewrites the largest pending word, at its
-    leftmost reducible position, by the first matching rule.
+    Coefficients are nonzero elements of ``field``, as in ``NcPoly.terms``;
+    so are the result's.  ``rules`` is ``RewriteSystem._reducer_rules``,
+    built by ``_rebuild`` once per rule set: the ``search`` of one pattern
+    that alternates the leads, the tails indexed by match group, and the
+    canonical form ``canon`` of a popped coefficient.  Every tail word is
+    strictly smaller than its lead, which guarantees termination.
+    Deterministic: always rewrites the largest pending word at its
+    leftmost reducible position, by the first matching rule (the
+    pattern's leftmost match; completion keeps the leads inter-reduced,
+    so at most one lead matches at a position anyway).
 
-    The pending words sit in a dict of coefficients and a min-heap keyed
-    by ``(-len(w), w)`` (``freealg.word_key``, inlined), which pops the
-    largest word first.  A word is pushed when it enters the dict; a
-    popped word no longer in the dict was cancelled to zero and is
-    skipped, so a word cancelled and then re-created leaves only a stale
-    entry behind.  A rewrite of w writes only words smaller than w (tails
-    are smaller than leads and the order is a monomial order), so a popped
-    word that no rule matches is final.
+    Pending words sit in a dict of coefficients and one min-heap of plain
+    strings per length, popped from the longest length down: within one
+    length the smallest string is the largest word, and a rewrite of w
+    writes only words smaller than w (tails are smaller than leads and the
+    order is a monomial order), so a popped word is never written again
+    and one that no rule matches is final.  Coefficients are summed with
+    ``+ *`` and put in canonical form once, when the word is popped; a
+    word whose sum cancelled is skipped there.  Over Q, integral scalars
+    are ``int``s while the loop runs (``_integral``: C's completed tails
+    are all +-1), so only fractional tails or inputs cost ``Fraction``
+    arithmetic; the result goes back through ``field.of``.
     """
-    of, zero = field.of, field.zero
-    push, pop = heapq.heappush, heapq.heappop
-    work = dict(terms)
-    heap = [(-len(w), w) for w in work]
-    heapq.heapify(heap)
+    search, tails, canon = rules
+    of, pop, push = field.of, heapq.heappop, heapq.heappush
+    work = {w: _integral(c) for w, c in terms.items()}
+    heaps = [[] for _ in range(max(map(len, work), default=0) + 1)]
+    for w in work:
+        heaps[len(w)].append(w)
+    for heap in heaps:
+        heapq.heapify(heap)
     result = {}
-    while heap:
-        w = pop(heap)[1]
-        c = work.pop(w, None)
-        if c is None:  # a stale entry: w was cancelled after its push
-            continue
-        hit = None
-        best = -1
-        for lead, tail in rules:
-            pos = w.find(lead)
-            if pos != -1 and (best == -1 or pos < best):
-                best = pos
-                hit = (lead, tail)
-                if pos == 0:
-                    break
-        if hit is None:
-            # every word pushed after w is smaller, so w is final
-            result[w] = c
-            continue
-        lead, tail = hit
-        prefix, suffix = w[:best], w[best + len(lead):]
-        # freealg.add_term inlined, plus the push of a new word: this loop
-        # runs for every rewrite step of every normal form
-        for tw, tc in tail:
-            nw = prefix + tw + suffix
-            old = work.get(nw)
-            if old is None:
-                work[nw] = of(c * tc)
-                push(heap, (-len(nw), nw))
+    for heap in reversed(heaps):
+        while heap:
+            w = pop(heap)
+            c = canon(work.pop(w))
+            if not c:
                 continue
-            s = of(old + c * tc)
-            if s != zero:
-                work[nw] = s
-            else:
-                del work[nw]
+            m = search(w)
+            if m is None:
+                result[w] = of(c)
+                continue
+            start, end = m.span()
+            prefix, suffix = w[:start], w[end:]
+            # this loop runs for every rewrite step of every normal form
+            for tw, tc in tails[m.lastindex]:
+                nw = prefix + tw + suffix
+                old = work.get(nw)
+                if old is None:
+                    work[nw] = c * tc
+                    push(heaps[len(nw)], nw)
+                else:
+                    work[nw] = old + c * tc
     return result
 
 

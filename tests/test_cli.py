@@ -309,6 +309,18 @@ def test_out_of_range_count_is_usage_error(capsys, argv):
     assert argv[-2] in captured.err
 
 
+def test_non_integer_ell_is_usage_error(capsys):
+    # the message names the option, not the parser's helper function
+    with pytest.raises(SystemExit) as exc:
+        main(["disc-locus", "--ell", "3,x"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "cubiclifford disc-locus: error: argument --ell: --ell takes "
+        "comma-separated positive integers, not '3,x'")
+
+
 def test_unwritable_dump_is_usage_error(capsys, tmp_path):
     dump = str(tmp_path / "missing" / "alg.json")
     code = main(["quotient", "--point", "1,0,0,1,4,0", "--dump", dump])

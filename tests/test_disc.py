@@ -152,6 +152,16 @@ def test_sample_points_full_strata_at_large_prime():
                for pt in strata["smooth"])
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_sample_points_rejects_empty_strata(f7, n):
+    # a count below 1 would make every stratum vacuous, and a negative one
+    # never stops drawing smooth points
+    with pytest.raises(ValueError, match="n_per_stratum"):
+        sample_points(f7, n)
+    with pytest.raises(ValueError, match="n_per_stratum"):
+        sample_locus(f7, ells=[3], n_per_stratum=n)
+
+
 def test_sample_locus_report(f13):
     report = sample_locus(f13, ells=[3, 6, 12], n_per_stratum=3, seed=0)
     assert report[3]["cubic"]["members"] == 0

@@ -14,7 +14,8 @@ from cubiclifford.findim import (DEGREE_BOUND, build_quotient,
                                  quotient_relations)
 from cubiclifford.freealg import (NcPoly, clifford_relations, commutator,
                                   word_key)
-from cubiclifford.rewrite import _reduce_generic, complete, hilbert_oracle
+from cubiclifford.rewrite import (RewriteSystem, _reduce_generic, complete,
+                                  hilbert_oracle)
 
 # first coefficients of 1/((1-t)^5 (1+t) (1+t+t^2)^2), frozen from the
 # composition-counting oracle itself at build time
@@ -224,10 +225,12 @@ def test_dump_format(system13):
 
 def reference_reduce_terms(terms, rules, field, recreated=None):
     """The former reduction loop, kept as the oracle for
-    ``_reduce_generic``: same rules, same rewriting strategy, but the
-    largest pending word found by a scan, graded max by a key function.
-    Words that are cancelled to zero and later written again are appended
-    to ``recreated`` when it is given."""
+    ``_reduce_generic``: same rules (``RewriteSystem._rules``, pairs of a
+    lead and a tail dict, in order), same rewriting strategy, but the
+    largest pending word found by a scan, graded max by a key function,
+    the leftmost lead by a ``find`` per rule, and every sum put in
+    canonical form at once.  Words that are cancelled to zero and later
+    written again are appended to ``recreated`` when it is given."""
     F = field
     work = dict(terms)
     cancelled = set()
@@ -250,7 +253,7 @@ def reference_reduce_terms(terms, rules, field, recreated=None):
         lead, tail = best_rule
         prefix = w[:best_pos]
         suffix = w[best_pos + len(lead):]
-        for tw, tc in tail:
+        for tw, tc in tail.items():
             nw = prefix + tw + suffix
             if nw in cancelled and nw not in work and recreated is not None:
                 recreated.append(nw)
@@ -261,6 +264,27 @@ def reference_reduce_terms(terms, rules, field, recreated=None):
                 del work[nw]
                 cancelled.add(nw)
     return result
+
+
+def assert_canonical(field, terms):
+    """Every coefficient nonzero and canonical with its exact type: a
+    ``Fraction`` over Q, an ``int`` in [0, p) over F_p.  Comparing with
+    the reference alone would not see a slip here: 3 == Fraction(3)."""
+    for c in terms.values():
+        if field.kind == "rational":
+            assert type(c) is Fraction and c != 0
+        else:
+            assert type(c) is int and 0 < c < field.p
+
+
+def matches_reference(system, terms, recreated=None):
+    """``_reduce_generic`` on the system's reducer form agrees with the
+    reference on its rules and returns canonical scalars."""
+    got = _reduce_generic(terms, system._reducer_rules, system.field)
+    assert got == reference_reduce_terms(terms, system._rules, system.field,
+                                         recreated)
+    assert_canonical(system.field, got)
+    return got
 
 
 def random_int_terms(rng, count, lo, hi, coeffs):
@@ -281,12 +305,9 @@ def random_int_terms(rng, count, lo, hi, coeffs):
 def test_reducer_matches_prime_field_reference(f13, large, bound, lo):
     system = complete(relations_with_large(clifford_relations(f13), large),
                       degree_bound=bound)
-    rules = system._reducer_rules
     rng = random.Random(f"reducer:{large}:{bound}")
     for terms in random_int_terms(rng, 100, lo, bound, range(1, 13)):
-        terms = with_large(terms, large)
-        assert (_reduce_generic(terms, rules, f13)
-                == reference_reduce_terms(terms, rules, f13))
+        matches_reference(system, with_large(terms, large))
 
 
 @pytest.mark.parametrize("large", ["x", "y"])
@@ -294,33 +315,29 @@ def test_reducer_matches_rational_reference(rationals, large):
     system = complete(
         relations_with_large(clifford_relations(rationals), large),
         degree_bound=16)
-    rules = system._reducer_rules
     rng = random.Random(f"reducer-q:{large}")
     coeffs = [Fraction(n, d) for n in range(-4, 5) if n for d in (1, 2, 3)]
     for terms in random_int_terms(rng, 60, 0, 16, coeffs):
-        terms = with_large(terms, large)
-        assert (_reduce_generic(terms, rules, rationals)
-                == reference_reduce_terms(terms, rules, rationals))
+        matches_reference(system, with_large(terms, large))
 
 
 def test_reducer_skips_cancelled_words(f13, system13):
     # xx -> yy: rewriting xxy cancels the pending yyy, rewriting yxx
-    # writes it again, and the heap holds a stale entry for it; without
-    # yxx the stale entry is all that is left of yyy
-    rules = (("xx", (("yy", 1),)),)
+    # writes it again; without yxx yyy stays pending with a zero sum and
+    # is skipped when it is popped
+    toy = RewriteSystem(f13)
+    toy._rules = [("xx", {"yy": 1})]
+    toy._rebuild()
     for terms, expected in [({"xxy": 1, "yxx": 1, "yyy": 12}, {"yyy": 1}),
                             ({"xxy": 1, "yyy": 12}, {})]:
-        assert _reduce_generic(terms, rules, f13) == expected
-        assert reference_reduce_terms(terms, rules, f13) == expected
+        assert matches_reference(toy, terms) == expected
     # seeded words of C whose reduction cancels a pending word to zero and
     # re-creates it before it is popped
     rng = random.Random("cancel-recreate")
     hits = 0
-    rules = system13._reducer_rules
     for terms in random_int_terms(rng, 40, 0, 13, range(1, 13)):
         recreated = []
-        expected = reference_reduce_terms(terms, rules, f13, recreated)
-        assert _reduce_generic(terms, rules, f13) == expected
+        matches_reference(system13, terms, recreated)
         hits += bool(recreated)
     assert hits >= 3
 
@@ -451,10 +468,8 @@ def test_reducer_matches_reference_on_quotient_systems(f13, coords):
     system = complete(quotient_relations(f13, central_point(f13, *coords)),
                       degree_bound=DEGREE_BOUND)
     rng = random.Random(f"reducer-quotient:{coords}")
-    rules = system._reducer_rules
     for terms in random_int_terms(rng, 40, 0, DEGREE_BOUND, range(1, 13)):
-        assert (_reduce_generic(terms, rules, f13)
-                == reference_reduce_terms(terms, rules, f13))
+        matches_reference(system, terms)
 
 
 def test_smooth_quotient_build_reduces_less(f13, monkeypatch):
@@ -487,3 +502,79 @@ def test_completion_rule_budget_raises(f13, monkeypatch):
     with pytest.raises(BudgetExceeded, match="rule budget"):
         complete([NcPoly.word(f13, "xx"), NcPoly.word(f13, "yy")],
                  degree_bound=4)
+
+
+def quotient_at(coords):
+    """Relations of the central quotient at ``coords``, for any field."""
+    return lambda field: quotient_relations(field,
+                                            central_point(field, *coords))
+
+
+# over Q the quotient at (1,2,3,5; 11/2, 4) completes to rules with
+# fractional tail coefficients; C's completed rules have only +-1
+FRACTIONAL_POINT = (1, 2, 3, 5, Fraction(11, 2), 4)
+
+COMPLETED_SYSTEMS = (
+    [(f"C-{kind}-{bound}", kind, clifford_relations, bound)
+     for kind in ("prime", "rational") for bound in (13, 20)]
+    + [(f"toy-{kind}", kind, toy_relations, 5)
+       for kind in ("prime", "rational")]
+    + [(f"quotient-{name}", "prime", quotient_at(coords), DEGREE_BOUND)
+       for name, (coords, _, _, _) in zip(
+           ["smooth", "degenerate", "cubic", "origin"], PINNED_QUOTIENTS)]
+    + [("quotient-fractional", "rational", quotient_at(FRACTIONAL_POINT),
+        DEGREE_BOUND)])
+
+
+@pytest.mark.parametrize("kind,relations,bound",
+                         [case[1:] for case in COMPLETED_SYSTEMS],
+                         ids=[case[0] for case in COMPLETED_SYSTEMS])
+def test_completed_leads_are_inter_reduced(kind, relations, bound):
+    # no lead is a subword of another, so at most one lead matches at any
+    # position and the reducer's leftmost pattern match is the leftmost
+    # position's only rule
+    field = make_field(kind, 13 if kind == "prime" else None)
+    leads = [lead for lead, _ in
+             complete(relations(field), degree_bound=bound)._rules]
+    assert leads
+    for i, a in enumerate(leads):
+        for j, b in enumerate(leads):
+            assert i == j or a not in b, (a, b)
+
+
+def test_reducer_matches_reference_with_fractional_tails(rationals):
+    system = complete(quotient_at(FRACTIONAL_POINT)(rationals),
+                      degree_bound=DEGREE_BOUND)
+    tails = [c for _, tail in system._rules for c in tail.values()]
+    assert sum(c.denominator != 1 for c in tails) == 30
+    rng = random.Random("reducer-fractional-tails")
+    coeffs = [Fraction(n, d) for n in range(-6, 7) if n for d in (1, 2, 5)]
+    inputs = random_int_terms(rng, 60, 0, DEGREE_BOUND, coeffs)
+    used = [c for terms in inputs for c in terms.values()]
+    assert any(c.denominator == 1 for c in used)
+    assert any(c.denominator != 1 for c in used)
+    nonzero = 0
+    for terms in inputs:
+        nonzero += bool(matches_reference(system, terms))
+    assert nonzero >= 30
+
+
+@pytest.mark.parametrize("kind,relations,bound", [
+    ("prime", clifford_relations, 16),
+    ("rational", clifford_relations, 16),
+    ("prime", quotient_at(PINNED_QUOTIENTS[0][0]), DEGREE_BOUND),
+    ("rational", quotient_at(FRACTIONAL_POINT), DEGREE_BOUND),
+], ids=["C-prime", "C-rational", "quotient-prime", "quotient-rational"])
+def test_normal_form_scalars_have_the_field_type(kind, relations, bound):
+    # a Fraction over Q even when every tail and input is integral, an int
+    # in [0, p) over F_p
+    field = make_field(kind, 13 if kind == "prime" else None)
+    system = complete(relations(field), degree_bound=bound)
+    rng = random.Random(f"scalar-types:{kind}:{bound}")
+    nonzero = 0
+    for terms in random_int_terms(rng, 40, 0, bound,
+                                  [c for c in range(-9, 10) if c]):
+        nf = system.normal_form(NcPoly(field, terms))
+        assert_canonical(field, nf.terms)
+        nonzero += bool(nf.terms)
+    assert nonzero >= 30
